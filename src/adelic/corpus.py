@@ -31,7 +31,7 @@ CORPUS_SPECS: tuple[tuple[str, str], ...] = (
     ("Q(zeta8)", "x^4 + 1"),
     ("Q(sqrt2,sqrt3)", "x^4 - 10*x^2 + 1"),
     ("quartic-283", "x^4 - x - 1"),
-    ("undetermined-at-2", "x^4 - 4*x^2 + 36"),
+    ("undetermined-at-2", "x^4 + 12"),
     ("Q(fifthroot2)", "x^5 - 2"),
     ("cyclic-quintic-11", "x^5 + x^4 - 4*x^3 - 3*x^2 + 3*x + 1"),
     ("Q(sixthroot2)", "x^6 - 2"),

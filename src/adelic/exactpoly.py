@@ -553,14 +553,6 @@ def squarefree_decomposition(a: ModPoly) -> list[tuple[ModPoly, int]]:
     return out
 
 
-def _squarefree_part(a: ModPoly) -> ModPoly:
-    parts = squarefree_decomposition(a.monic())
-    acc = ModPoly(a.modulus, (1,))
-    for g, _ in parts:
-        acc = acc * g
-    return acc
-
-
 def _is_squarefree_modp(a: list[int], p: int) -> bool:
     return len(_gcd_modp(a, _deriv(a, p), p)) == 1
 

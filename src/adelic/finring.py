@@ -19,8 +19,6 @@ addition and multiplication tables.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exactpoly import IntPoly, irreducible_modp
 from .primes import is_prime
 
@@ -517,9 +515,3 @@ def finite_ring_isomorphic(
     if _invariant_profile(ring1, full) != _invariant_profile(ring2, full):
         return False
     return find_ring_isomorphism(ring1, ring2, cap) is not None
-
-
-@lru_cache(maxsize=None)
-def galois_residue_ring(p: int, f: int, s: int) -> LocalQuotientRing:
-    """The unramified quotient O/p^s with residue degree f (cached; e = 1)."""
-    return LocalQuotientRing(p, 1, f, None, s)

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import IntPoly, sturm_real_roots
+from .exactpoly import IntPoly, factor_modp, sturm_real_roots
 from .finring import (
     DEFAULT_RING_ORDER_CAP,
     FiniteRing,
     LocalQuotientRing,
     RingCapExceededError,
     finite_ring_isomorphic,
-    galois_residue_ring,
     _is_eisenstein_at,
 )
 from .primes import is_prime, primes_up_to, valuation
@@ -247,8 +246,9 @@ class ArithEquivVerdict:
     kind is "NotEquivalent" (with a witness prime where both decompositions
     are Resolved and the splitting types differ) or "EquivalentUpToBound"
     (all compared primes agree; excluded_primes lists the primes left out of
-    the sweep).  degree_check records whether split-prime degree detection
-    agreed for the two fields.
+    the sweep: every prime <= bound that is bad for either field when the
+    sweep ran to the bound).  degree_check records whether the two fields
+    have the same degree.
     """
 
     kind: str
@@ -280,31 +280,19 @@ NOT_EQUIVALENT = "NotEquivalent"
 EQUIVALENT_UP_TO_BOUND = "EquivalentUpToBound"
 
 
-def _detected_degrees_agree(K: NumberField, L: NumberField, B: int) -> bool:
-    """Split-prime degree detection for both fields, raising the bound (as the
-    detection contract prescribes on NotFound) up to 32x before giving up."""
-    bound = B
-    dk = dl = None
-    while bound <= 32 * B:
-        dk = degree_via_split_prime(K, bound) if dk is None else dk
-        dl = degree_via_split_prime(L, bound) if dl is None else dl
-        if dk is not None and dl is not None:
-            return dk[0] == dl[0]
-        bound *= 2
-    return False
-
-
 def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUND) -> ArithEquivVerdict:
     """Compare splitting types of K and L at every good-for-both prime <= B.
 
     The first mismatch produces NotEquivalent with the witness; otherwise
     EquivalentUpToBound.  Bad primes (for either field) are excluded from the
     sweep and reported; they are handled separately by the adele-isomorphism
-    pipeline, which is where they matter.
+    pipeline, which is where they matter.  The degree check compares the
+    degrees of the defining polynomials; degree_via_split_prime detects the
+    same number from splitting data alone, but no verdict depends on it.
     """
     if B < 2:
         raise ValueError("bound must be at least 2")
-    degree_check = _detected_degrees_agree(K, L, B)
+    degree_check = K.degree == L.degree
     excluded = []
     compared = 0
     witness = None
@@ -410,7 +398,7 @@ def residue_ring_construct(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e == 1:
-        ring = galois_residue_ring(p, f, s)
+        ring = LocalQuotientRing(p, 1, f, None, s)
         return ResidueRing(
             presentation="unramified",
             p=p,
@@ -446,18 +434,23 @@ def eisenstein_presentation(K: NumberField, p: int) -> IntPoly | None:
     """Eisenstein polynomial for the completion of K at p, when p is totally
     ramified and a shift of the defining polynomial exhibits it.
 
-    Searches f(x + c) for c in [0, p^2); the Eisenstein conditions only
-    depend on c modulo p^2.  Returns None when p is not totally ramified in K
-    or no shift works (e.g. when no integer translate of the generator is a
-    uniformizer).
+    Returns f(x + c) for the least c in [0, p^2) that makes it Eisenstein;
+    the Eisenstein conditions only depend on c modulo p^2.  If f(x + c) is
+    Eisenstein then f = (x - c)^n mod p, so c mod p is a root r of f mod p
+    and only c = r + k*p is tried: at most p shifts per root.  Returns None
+    when p is not totally ramified in K or no shift works (e.g. when no
+    integer translate of the generator is a uniformizer).
     """
     dec = decompose(K, p)
     if not dec.is_resolved or dec.factors != ((K.degree, 1),):
         return None
-    for c in range(p * p):
-        shifted = K.min_poly.shift(c)
-        if _is_eisenstein_at(shifted, p):
-            return shifted
+    factors = factor_modp(K.min_poly.reduce_mod(p))
+    roots = sorted(-g.coeffs[0] % p for g, _ in factors if g.degree == 1)
+    for k in range(p):
+        for r in roots:
+            shifted = K.min_poly.shift(r + k * p)
+            if _is_eisenstein_at(shifted, p):
+                return shifted
     return None
 
 
@@ -538,9 +531,8 @@ class AdeleIsoVerdict:
         }
 
 
-def _bad_primes(K: NumberField, L: NumberField, B: int) -> tuple[list[int], list[int]]:
-    """Primes <= B dividing either discriminant, plus uninspected cofactors."""
-    bad = []
+def _discriminant_cofactors(K: NumberField, L: NumberField, B: int) -> list[int]:
+    """Parts of either discriminant left after removing every prime <= B."""
     leftovers = set()
     for disc in (K.poly_disc, L.poly_disc):
         n = abs(disc)
@@ -549,10 +541,7 @@ def _bad_primes(K: NumberField, L: NumberField, B: int) -> tuple[list[int], list
                 n //= p
         if n > 1:
             leftovers.add(n)
-    for p in primes_up_to(B):
-        if not (good_prime_test(K, p) and good_prime_test(L, p)):
-            bad.append(p)
-    return bad, sorted(leftovers)
+    return sorted(leftovers)
 
 
 def adele_iso_verdict(
@@ -566,10 +555,8 @@ def adele_iso_verdict(
 
     Pipeline: (1) bounded arithmetic equivalence -- a splitting-type witness
     refutes isomorphism; (2) archimedean signatures must agree; (3) at every
-    prime where either field is bad, the (e, f) multisets must biject, and
-    each matched pair is certified at the residue-ring level (truncation
-    keating_bound(p, e)) when a supported presentation exists.  Identical
-    defining polynomials certify by identity of the local data.  Pairs
+    prime <= B where either field is bad, the (e, f) multisets must biject,
+    and each matched pair is certified as _match_at_prime describes.  Pairs
     matched only on (e, f) downgrade the verdict to
     IsomorphicModuloAssumption, naming the assumption.
     """
@@ -595,11 +582,13 @@ def adele_iso_verdict(
             ),
             excluded_primes=eq.excluded_primes,
         )
-    bad, leftovers = _bad_primes(K, L, B)
+    # The sweep ran to B without a witness, so its excluded primes are
+    # exactly the primes <= B that are bad for K or L.
+    leftovers = _discriminant_cofactors(K, L, B)
     identical = K.min_poly == L.min_poly
     matching: list[MatchedLocalPair] = []
     unmatched: list[UnmatchedLocalDatum] = []
-    for p in bad:
+    for p in eq.excluded_primes:
         dk = decompose(K, p, precision)
         dl = decompose(L, p, precision)
         if not dk.is_resolved:
@@ -650,7 +639,17 @@ def adele_iso_verdict(
 
 
 def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
-    """Certify the (already equal) local (e, f) multisets of K and L at p."""
+    """Certify the (already equal) local (e, f) multisets of K and L at p.
+
+    Identical defining polynomials certify every pair by identity.  An
+    unramified pair (e = 1) is certified by its residue degree alone: the
+    completion is the unramified extension of Q_p of degree f, so no ring is
+    built.  A totally ramified pair (f = 1, one prime above p) is certified
+    by comparing the Eisenstein residue rings at truncation keating_bound(p,
+    e); rings that differ refute isomorphism, and a ring over ring_cap
+    leaves the pair unmatched.  Any other ramified pair stays unmatched.
+    Returns (pairs, misses), or a NotIsomorphic verdict.
+    """
     pairs: list[MatchedLocalPair] = []
     misses: list[UnmatchedLocalDatum] = []
     for e, f in dk.factors:
@@ -658,15 +657,11 @@ def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
             pairs.append(MatchedLocalPair(p, e, f, "identical-local-data"))
             continue
         if e == 1:
-            # Unramified completions are determined by the residue degree;
-            # the canonical residue rings coincide by construction.
-            s = keating_bound(p, 1)
-            rk = residue_ring_construct(p, 1, f, None, s)
-            rl = residue_ring_construct(p, 1, f, None, s)
-            assert isinstance(rk, ResidueRing) and isinstance(rl, ResidueRing)
-            if not finite_ring_isomorphic(rk.ring, rl.ring, cap=ring_cap):
-                raise AssertionError("canonical unramified rings must be isomorphic")
-            pairs.append(MatchedLocalPair(p, e, f, "unramified-residue-ring", truncation=s))
+            pairs.append(
+                MatchedLocalPair(
+                    p, 1, f, "unramified-residue-ring", truncation=keating_bound(p, 1)
+                )
+            )
             continue
         if f == 1 and dk.factors == ((e, 1),):
             ek = eisenstein_presentation(K, p)

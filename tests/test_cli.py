@@ -101,6 +101,26 @@ def test_adele_iso_reflexive(capsys):
     assert "IsomorphicCertified" in out
 
 
+def test_adele_iso_unramified_factor_past_ring_cap(capsys):
+    # L(x) = K(x + 1); at 79 both have an unramified factor with f = 2, whose
+    # residue ring at truncation 2 has order 79^4, above the default ring cap
+    code, out, _ = run(
+        capsys,
+        "adele-iso",
+        "x^4 + 9*x^3 + 9*x^2 - 6*x - 3",
+        "x^4 + 13*x^3 + 42*x^2 + 43*x + 10",
+        "--bound",
+        "100",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "IsomorphicModuloAssumption"
+    expected = {"prime": 79, "e": 1, "f": 2, "certificate": "unramified-residue-ring", "truncation": 2}
+    assert expected in data["matching"]
+
+
 def test_fv_eval(tmp_path, capsys):
     fam = tmp_path / "family.json"
     fam.write_text(

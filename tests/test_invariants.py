@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from adelic.corpus import corpus_field, corpus_fields
-from adelic.exactpoly import parse_int_poly
+from adelic.exactpoly import IntPoly, parse_int_poly
+from adelic.finring import _is_eisenstein_at
 from adelic.invariants import (
     ResidueRing,
     RingUndetermined,
@@ -231,6 +232,16 @@ def test_equiv_degree7_pair():
     assert v.compared_count == len(primes_up_to(200)) - 2
 
 
+def test_equiv_degree_check_is_degree_equality():
+    # the least completely split prime of the degree-7 pair is 1879, above
+    # any bound a split-prime sweep from 50 would reach
+    v = arithmetic_equiv(corpus_field("deg7-pair-a"), corpus_field("deg7-pair-b"), 50)
+    assert v.kind == "EquivalentUpToBound"
+    assert v.degree_check
+    v = arithmetic_equiv(corpus_field("Q(sqrt2)"), corpus_field("Q(cbrt2)"), 50)
+    assert not v.degree_check
+
+
 def test_equiv_excludes_bad_primes():
     v = arithmetic_equiv(corpus_field("Q(sqrt2)"), corpus_field("Q(sqrt3)"), 100)
     assert v.excluded_primes == (2, 3)  # 2 | 8, 2 | 12, 3 | 12
@@ -334,6 +345,37 @@ def test_eisenstein_presentation_search():
     K8 = NumberField(P("x^2-8"))
     assert decompose(K8, 2).factors == ((2, 1),)
     assert eisenstein_presentation(K8, 2) is None
+
+
+def test_eisenstein_presentation_matches_full_shift_scan():
+    """The root-restricted search returns the first c of the scan over [0, p^2)."""
+    fields = list(corpus_fields()) + [
+        NumberField(P(text).shift(c)) for text in ("x^2-2", "x^3-2", "x^2+1") for c in (3, 11)
+    ]
+    for K in fields:
+        for p in (2, 3, 5, 7):
+            dec = decompose(K, p)
+            expected = None
+            if dec.is_resolved and dec.factors == ((K.degree, 1),):
+                shifts = (K.min_poly.shift(c) for c in range(p * p))
+                expected = next((g for g in shifts if _is_eisenstein_at(g, p)), None)
+            assert eisenstein_presentation(K, p) == expected, (K.name(), p)
+
+
+def test_eisenstein_presentation_shifts_bounded_by_p(monkeypatch):
+    p = 1009
+    K = NumberField(P(f"x^2 - {p**3}"))
+    assert decompose(K, p).factors == ((2, 1),)
+    calls = []
+    shift = IntPoly.shift
+
+    def counting_shift(self, c):
+        calls.append(c)
+        return shift(self, c)
+
+    monkeypatch.setattr(IntPoly, "shift", counting_shift)
+    assert eisenstein_presentation(K, p) is None
+    assert 0 < len(calls) <= p
 
 
 # ---------------------------------------------------------------------------

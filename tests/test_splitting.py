@@ -306,6 +306,18 @@ def test_good_primes_unramified():
                 assert all(e == 1 for e, _ in decompose(K, p).factors)
 
 
+def test_corpus_polynomials_irreducible():
+    """Every corpus entry of degree >= 2 defines a field (sympy as the oracle)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for K in corpus_fields():
+        if K.degree < 2:
+            continue
+        expr = sum(c * x**i for i, c in enumerate(K.min_poly.coeffs))
+        _, factors = sympy.factor_list(expr)
+        assert len(factors) == 1 and factors[0][1] == 1, K.name()
+
+
 def test_degree_one_field_always_splits_trivially():
     K = corpus_field("Q")
     for p in primes_up_to(200):
