@@ -96,7 +96,7 @@ def _cmd_split(args) -> int:
     K = _load_field(args.field)
     if not is_prime(args.prime):
         raise _CliError(f"{args.prime} is not prime", EXIT_PARSE)
-    dec = decompose(K, args.prime, args.precision)
+    dec = decompose(K, args.prime)
     if not dec.is_resolved:
         _emit(
             args,
@@ -122,7 +122,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     K = _load_field(args.field)
-    spec = spectrum(K, args.bound, args.precision)
+    spec = spectrum(K, args.bound)
     lines = [f"splitting spectrum of {K.name()} up to {args.bound}:"]
     entries = []
     for t in spec.types():
@@ -189,7 +189,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_adele_iso(args) -> int:
     K = _load_field(args.field1)
     L = _load_field(args.field2)
-    verdict = adele_iso_verdict(K, L, args.bound, args.precision, ring_cap=args.ring_cap)
+    verdict = adele_iso_verdict(K, L, args.bound, ring_cap=args.ring_cap)
     lines = [f"{verdict.kind}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
@@ -362,14 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="decomposition of one prime in a field")
     p.add_argument("field")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--precision", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("spectrum", help="splitting types of all primes up to a bound")
     p.add_argument("field")
     p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--precision", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field1")
     p.add_argument("field2")
     p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--precision", type=int, default=None)
     p.add_argument("--ring-cap", type=int, default=DEFAULT_RING_ORDER_CAP,
                    help="largest residue-ring order the certifier will enumerate")
     common(p)

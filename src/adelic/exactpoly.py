@@ -557,6 +557,25 @@ def _is_squarefree_modp(a: list[int], p: int) -> bool:
     return len(_gcd_modp(a, _deriv(a, p), p)) == 1
 
 
+def _distinct_degree_parts(v: list[int], p: int):
+    """Yield (d, product of the degree-d irreducible factors) for ascending d.
+
+    v is monic and squarefree over Z/p; degrees with no factor are skipped.
+    """
+    h = [0, 1]  # x
+    d = 0
+    while len(v) - 1 > 2 * d:
+        d += 1
+        h = _powmod(h, p, v, p)
+        g = _gcd_modp(_sub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            yield d, g
+            v = _divmod_modp(v, g, p)[0]
+            h = _divmod_modp(h, v, p)[1]
+    if len(v) > 1:
+        yield len(v) - 1, v
+
+
 def ddf(a: ModPoly) -> dict[int, int]:
     """Distinct-degree factorization: degree d -> number of irreducible factors of degree d.
 
@@ -569,22 +588,7 @@ def ddf(a: ModPoly) -> dict[int, int]:
     f = list(a.coeffs)
     if not _is_squarefree_modp(f, p):
         raise NonSquarefreeError("ddf requires a squarefree polynomial")
-    counts: dict[int, int] = {}
-    v = f
-    h = [0, 1]  # x
-    d = 0
-    while len(v) - 1 > 2 * d:
-        d += 1
-        h = _powmod(h, p, v, p)
-        g = _gcd_modp(_sub(h, [0, 1], p), v, p)
-        if len(g) > 1:
-            counts[d] = (len(g) - 1) // d
-            v = _divmod_modp(v, g, p)[0]
-            h = _divmod_modp(h, v, p)[1]
-    if len(v) > 1:
-        deg = len(v) - 1
-        counts[deg] = counts.get(deg, 0) + 1
-    return counts
+    return {d: (len(g) - 1) // d for d, g in _distinct_degree_parts(f, p)}
 
 
 class _Lcg:
@@ -663,20 +667,7 @@ def cz_factor(a: ModPoly, seed: int) -> list[ModPoly]:
     if not _is_squarefree_modp(f, p):
         raise NonSquarefreeError("cz_factor requires a squarefree polynomial")
     rng = _Lcg(seed)
-    factors: list[list[int]] = []
-    v = f
-    h = [0, 1]
-    d = 0
-    while len(v) - 1 > 2 * d:
-        d += 1
-        h = _powmod(h, p, v, p)
-        g = _gcd_modp(_sub(h, [0, 1], p), v, p)
-        if len(g) > 1:
-            factors.extend(_edf(g, d, p, rng))
-            v = _divmod_modp(v, g, p)[0]
-            h = _divmod_modp(h, v, p)[1]
-    if len(v) > 1:
-        factors.append(v)
+    factors = [c for d, g in _distinct_degree_parts(f, p) for c in _edf(g, d, p, rng)]
     factors.sort(key=lambda c: (len(c), tuple(c)))
     return [ModPoly(p, c) for c in factors]
 

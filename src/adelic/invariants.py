@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import IntPoly, factor_modp, sturm_real_roots
+from .exactpoly import IntPoly, squarefree_decomposition, sturm_real_roots
 from .finring import (
     DEFAULT_RING_ORDER_CAP,
     FiniteRing,
     LocalQuotientRing,
     RingCapExceededError,
+    find_ring_isomorphism,
     finite_ring_isomorphic,
     _is_eisenstein_at,
 )
@@ -89,14 +90,14 @@ class SplittingSpectrum:
         return sorted(self.entries, key=lambda t: t.degrees)
 
 
-def spectrum(K: NumberField, B: int, precision: int | None = None) -> SplittingSpectrum:
+def spectrum(K: NumberField, B: int) -> SplittingSpectrum:
     """Classify every prime up to B by its splitting type in K."""
     if B < 2:
         raise ValueError("bound must be at least 2")
     entries: dict[SplittingType, list[int]] = {}
     excluded: list[int] = []
     for p in primes_up_to(B):
-        dec = decompose(K, p, precision)
+        dec = decompose(K, p)
         if dec.is_resolved:
             entries.setdefault(splitting_type(dec), []).append(p)
         else:
@@ -435,22 +436,23 @@ def eisenstein_presentation(K: NumberField, p: int) -> IntPoly | None:
     ramified and a shift of the defining polynomial exhibits it.
 
     Returns f(x + c) for the least c in [0, p^2) that makes it Eisenstein;
-    the Eisenstein conditions only depend on c modulo p^2.  If f(x + c) is
-    Eisenstein then f = (x - c)^n mod p, so c mod p is a root r of f mod p
-    and only c = r + k*p is tried: at most p shifts per root.  Returns None
-    when p is not totally ramified in K or no shift works (e.g. when no
-    integer translate of the generator is a uniformizer).
+    the Eisenstein conditions only depend on c modulo p^2.  Total
+    ramification with residue degree 1 gives f = (x - r)^n mod p, and
+    f(x + c) can only be Eisenstein for c = r mod p.  For n >= 2, f'(r) = 0
+    mod p, so f(r + k*p) = f(r) mod p^2 and c = r decides; for n = 1 one of
+    c = r, r + p works.  Returns None when p is not totally ramified in K or
+    no shift works (e.g. when no integer translate of the generator is a
+    uniformizer).
     """
     dec = decompose(K, p)
     if not dec.is_resolved or dec.factors != ((K.degree, 1),):
         return None
-    factors = factor_modp(K.min_poly.reduce_mod(p))
-    roots = sorted(-g.coeffs[0] % p for g, _ in factors if g.degree == 1)
-    for k in range(p):
-        for r in roots:
-            shifted = K.min_poly.shift(r + k * p)
-            if _is_eisenstein_at(shifted, p):
-                return shifted
+    [(root_factor, _)] = squarefree_decomposition(K.min_poly.reduce_mod(p))
+    r = -root_factor.coeffs[0] % p
+    for c in (r, r + p):
+        shifted = K.min_poly.shift(c)
+        if _is_eisenstein_at(shifted, p):
+            return shifted
     return None
 
 
@@ -548,7 +550,6 @@ def adele_iso_verdict(
     K: NumberField,
     L: NumberField,
     B: int = DEFAULT_PRIME_BOUND,
-    precision: int | None = None,
     ring_cap: int = DEFAULT_RING_ORDER_CAP,
 ) -> AdeleIsoVerdict:
     """Decide (to the extent certifiable) whether the adele rings of K and L match.
@@ -589,8 +590,8 @@ def adele_iso_verdict(
     matching: list[MatchedLocalPair] = []
     unmatched: list[UnmatchedLocalDatum] = []
     for p in eq.excluded_primes:
-        dk = decompose(K, p, precision)
-        dl = decompose(L, p, precision)
+        dk = decompose(K, p)
+        dl = decompose(L, p)
         if not dk.is_resolved:
             return AdeleIsoVerdict(
                 UNDETERMINED_VERDICT, bound=B, reason=f"K at p={p}: {dk.reason}", witness=p
@@ -672,7 +673,7 @@ def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
                 rl = residue_ring_construct(p, e, 1, el, s)
                 if isinstance(rk, ResidueRing) and isinstance(rl, ResidueRing):
                     try:
-                        same = finite_ring_isomorphic(rk.ring, rl.ring, cap=ring_cap)
+                        same = find_ring_isomorphism(rk.ring, rl.ring, cap=ring_cap) is not None
                     except RingCapExceededError:
                         misses.append(
                             UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap")

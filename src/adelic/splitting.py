@@ -6,8 +6,8 @@ p*O_K = P_1^e_1 ... P_g^e_g is reported as the list of pairs
 discriminant of f (and, more generally, primes not dividing the index
 [O_K : Z[alpha]], detected by the Dedekind criterion) are handled by
 factoring f mod p.  The remaining primes go through a one-level Newton
-polygon analysis; if some residual polynomial is inseparable the result is
-reported as Undetermined rather than guessed.
+polygon analysis with exact valuations; if some residual polynomial is
+inseparable the result is reported as Undetermined rather than guessed.
 
 Everything here is a pure function over immutable values.  Decompositions are
 cached per (coefficient sequence, prime); the fill is idempotent, so
@@ -22,9 +22,11 @@ from fractions import Fraction
 from .exactpoly import (
     IntPoly,
     ModPoly,
+    ddf,
     discriminant,
     factor_modp,
     parse_int_poly,
+    squarefree_decomposition,
     _divmod_modp,
     _gcd_modp,
     _mul,
@@ -50,7 +52,6 @@ __all__ = [
     "newton_polygon",
     "ore_local_decompose",
     "decompose",
-    "default_precision",
     "splitting_type",
     "clear_decomposition_cache",
 ]
@@ -95,7 +96,7 @@ class NumberField:
         disc = discriminant(min_poly)
         if disc == 0:
             raise ValueError("defining polynomial must be squarefree (nonzero discriminant)")
-        if min_poly.degree >= 2 and _has_rational_root(min_poly):
+        if min_poly.degree >= 2 and _has_rational_root(min_poly, disc):
             raise ValueError("defining polynomial has a rational root, so it is reducible")
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "degree", min_poly.degree)
@@ -113,19 +114,31 @@ class NumberField:
         return f"NumberField({self.min_poly.to_text()!r}, label={self.label!r})"
 
 
-def _has_rational_root(f: IntPoly) -> bool:
-    # Rational root theorem for a monic polynomial: any rational root is an
-    # integer dividing the constant term.
-    c0 = f.coeffs[0]
-    if c0 == 0:
+def _has_rational_root(f: IntPoly, disc: int) -> bool:
+    """True iff the monic f, of nonzero discriminant disc, has a rational root.
+
+    A rational root is an integer r with |r| <= 1 + max|a_i|.  Modulo the
+    least prime q not dividing disc every root of f is simple, so r is the
+    symmetric residue of the Hensel lift of r mod q to any modulus above
+    twice that bound; each lift is tested exactly.
+    """
+    if f.coeffs[0] == 0:
         return True
-    divisors = set()
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            divisors.update((d, -d, abs(c0) // d, -(abs(c0) // d)))
-        d += 1
-    return any(f.evaluate(r) == 0 for r in divisors)
+    bound = 1 + max(abs(c) for c in f.coeffs)
+    q = 2
+    while disc % q == 0 or not is_prime(q):
+        q += 1
+    df = f.derivative()
+    for r in range(q):
+        if f.evaluate(r) % q:
+            continue
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            r = (r - f.evaluate(r) * pow(df.evaluate(r), -1, m)) % m
+        if f.evaluate(r - m if 2 * r > m else r) == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,8 +233,7 @@ def dedekind_index_test(K: NumberField, p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    fbar = K.min_poly.reduce_mod(p)
-    parts = factor_modp(fbar)
+    parts = squarefree_decomposition(K.min_poly.reduce_mod(p))
     g_bar = [1]
     h_bar = [1]
     for poly, mult in parts:
@@ -246,15 +258,21 @@ def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
 
     Valid when p is a good prime, and extended to bad primes that the
     Dedekind criterion shows do not divide the index.  Each irreducible
-    factor of multiplicity e and degree f contributes the pair (e, f).
-    Raises BadPrimeError instead of returning a possibly wrong answer.
+    factor of multiplicity e and degree f contributes the pair (e, f); the
+    pairs come from the distinct-degree counts of each squarefree part, so
+    no factor is split out.  Raises BadPrimeError instead of returning a
+    possibly wrong answer.
     """
     if not good_prime_test(K, p) and dedekind_index_test(K, p):
         raise BadPrimeError(
             f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
         )
-    parts = factor_modp(K.min_poly.reduce_mod(p))
-    pairs = [(mult, poly.degree) for poly, mult in parts]
+    pairs = [
+        (mult, d)
+        for part, mult in squarefree_decomposition(K.min_poly.reduce_mod(p))
+        for d, count in ddf(part).items()
+        for _ in range(count)
+    ]
     return _resolved(p, pairs, METHOD_KUMMER, K.degree)
 
 
@@ -502,7 +520,7 @@ def _fqp_ddf(a: list, ctx: _Fq) -> dict[int, int]:
 
 
 class _IrregularCase(Exception):
-    """Internal: some residual polynomial is inseparable at this prime."""
+    """Internal: the one-level analysis cannot resolve this prime."""
 
 
 def _phi_expansion(f: IntPoly, phi: IntPoly, upto: int) -> list[IntPoly]:
@@ -515,16 +533,9 @@ def _phi_expansion(f: IntPoly, phi: IntPoly, upto: int) -> list[IntPoly]:
     return out
 
 
-def _gauss_valuation(a: IntPoly, p: int, cap: int) -> int | None:
-    """min_i v_p(coefficient i), or None when not certified below cap."""
-    best: int | None = None
-    for c in a.coeffs:
-        v = _capped_valuation(c, p, cap)
-        if v is not None and (best is None or v < best):
-            best = v
-            if best == 0:
-                return 0
-    return best
+def _gauss_valuation(a: IntPoly, p: int) -> int | None:
+    """min_i v_p(coefficient i), exact; None for the zero polynomial."""
+    return min((valuation(c, p) for c in a.coeffs if c), default=None)
 
 
 def _residual_factor_degrees(
@@ -546,7 +557,7 @@ def _residual_factor_degrees(
         for j in range(d + 1):
             idx = x1 + j * e
             target = y1 - j * h
-            if vals[idx] is not None and vals[idx] == target:
+            if vals[idx] == target:
                 scaled = [(c // p**target) % p for c in a_list[idx].coeffs]
                 residual.append(ctx.make(scaled))
             else:
@@ -560,34 +571,25 @@ def _residual_factor_degrees(
     return pairs
 
 
-def default_precision(K: NumberField, p: int) -> int:
-    """Default p-adic working precision: 2*(1 + v_p(disc)) + 4."""
-    return 2 * (1 + valuation(K.poly_disc, p)) + 4
-
-
-def ore_local_decompose(K: NumberField, p: int, precision: int | None = None) -> PrimeDecomposition:
+def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
     """One-level Newton polygon decomposition of p in K.
 
     For each distinct irreducible factor phi of the defining polynomial mod
-    p, the phi-adic Newton polygon is computed; in the regular case (all
+    p, the phi-adic Newton polygon is computed; the phi-adic expansion is
+    exact over Z, so every valuation is exact.  In the regular case (all
     residual polynomials separable) each side of slope h/e and each
     irreducible residual factor of degree d contributes (e, d*deg(phi)).
-    Agrees with Kummer factorization on good primes.  Raises
-    InsufficientPrecisionError when the polygon cannot be certified at the
-    working precision; returns Undetermined when some residual polynomial is
-    inseparable (deeper analysis is out of scope).
+    Agrees with Kummer factorization on good primes.  Returns Undetermined
+    when some residual polynomial is inseparable (deeper analysis is out of
+    scope) or when a lift of phi divides the defining polynomial, which is
+    then reducible.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if precision is None:
-        precision = default_precision(K, p)
-    if precision < 1:
-        raise ValueError("precision must be positive")
     f = K.min_poly
-    parts = factor_modp(f.reduce_mod(p))
     pairs: list[tuple[int, int]] = []
     try:
-        for phibar, mult in parts:
+        for phibar, mult in factor_modp(f.reduce_mod(p)):
             if mult == 1:
                 # Multiplicity-one factors lift by Hensel's lemma: unramified,
                 # residue degree = deg(phi).
@@ -595,12 +597,16 @@ def ore_local_decompose(K: NumberField, p: int, precision: int | None = None) ->
                 continue
             phi = phibar.lift()
             a_list = _phi_expansion(f, phi, mult)
-            vals = [_gauss_valuation(a, p, precision) for a in a_list]
+            vals = [_gauss_valuation(a, p) for a in a_list]
+            if vals[0] is None:
+                raise _IrregularCase(
+                    f"{phi.to_text()} divides the defining polynomial, which is reducible"
+                )
             if vals[mult] != 0:
                 raise AssertionError("internal error: phi-multiplicity endpoint must be a unit")
             if any(v == 0 for v in vals[:mult]):
                 raise AssertionError("internal error: interior expansion coefficients must vanish mod p")
-            hull = _certified_hull(vals, precision)
+            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not None])
             ctx = _Fq(p, phibar.coeffs)
             pairs.extend(_residual_factor_degrees(a_list, vals, hull, p, ctx))
     except _IrregularCase as exc:
@@ -609,52 +615,29 @@ def ore_local_decompose(K: NumberField, p: int, precision: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher with caching and precision retries.
+# Dispatcher with caching.
 
-_MAX_PRECISION_RETRIES = 4
-
-_cache: dict[tuple[tuple[int, ...], int], tuple[int, PrimeDecomposition]] = {}
+_cache: dict[tuple[tuple[int, ...], int], PrimeDecomposition] = {}
 
 
 def clear_decomposition_cache() -> None:
     _cache.clear()
 
 
-def decompose(K: NumberField, p: int, precision: int | None = None) -> PrimeDecomposition:
+def decompose(K: NumberField, p: int) -> PrimeDecomposition:
     """Decomposition of p in K: Kummer where valid, Newton polygon otherwise.
 
     Kummer factorization is used for good primes and for discriminant
     divisors that the Dedekind criterion clears; index divisors go through
-    the one-level Newton polygon analysis, doubling the working precision on
-    InsufficientPrecisionError up to 4 retries.  Unresolvable cases come back
-    as Undetermined with a reason, never as a wrong Resolved value.
+    the one-level Newton polygon analysis.  Unresolvable cases come back as
+    Undetermined with a reason, never as a wrong Resolved value.
     """
     key = (K.min_poly.coeffs, p)
-    want = precision if precision is not None else default_precision(K, p)
-    cached = _cache.get(key)
-    if cached is not None:
-        used, dec = cached
-        if dec.is_resolved or want <= used:
-            return dec
-    if good_prime_test(K, p) or not dedekind_index_test(K, p):
-        dec = kummer_decompose(K, p)
-        _cache[key] = (want, dec)
-        return dec
-    prec = want
-    dec = None
-    for _ in range(_MAX_PRECISION_RETRIES + 1):
-        try:
-            dec = ore_local_decompose(K, p, prec)
-            break
-        except InsufficientPrecisionError:
-            prec *= 2
+    dec = _cache.get(key)
     if dec is None:
-        dec = PrimeDecomposition(
-            p,
-            UNDETERMINED,
-            None,
-            METHOD_NEWTON,
-            reason=f"insufficient p-adic precision (tried up to {prec // 2})",
-        )
-    _cache[key] = (prec, dec)
+        try:
+            dec = kummer_decompose(K, p)
+        except BadPrimeError:
+            dec = ore_local_decompose(K, p)
+        _cache[key] = dec
     return dec

@@ -5,6 +5,7 @@ lines; every criterion asserts its stated tolerance (exact unless noted) and
 its runtime budget.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -343,8 +344,14 @@ def test_criterion_11_fv_semantics():
 
 
 def test_criterion_12_determinism():
+    import adelic
+
+    # The child imports the same adelic as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(adelic.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     cmd = [sys.executable, "-m", "adelic.cli", "--corpus"]
-    out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
-    out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
+    out1 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    out2 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     report(12, "byte-identical corpus runs", out1 == out2 and len(out1) > 0,
            f"{len(out1)} bytes")

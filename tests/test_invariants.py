@@ -375,7 +375,8 @@ def test_eisenstein_presentation_shifts_bounded_by_p(monkeypatch):
 
     monkeypatch.setattr(IntPoly, "shift", counting_shift)
     assert eisenstein_presentation(K, p) is None
-    assert 0 < len(calls) <= p
+    # only c = r and c = r + p for the root r = 0 of f mod p
+    assert calls == [0, p]
 
 
 # ---------------------------------------------------------------------------

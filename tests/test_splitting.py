@@ -1,10 +1,18 @@
 """Tests for prime decomposition: Kummer, Dedekind criterion, Newton polygons."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from adelic.exactpoly import ModPoly, parse_int_poly
+from adelic.exactpoly import (
+    IntPoly,
+    ModPoly,
+    discriminant,
+    factor_modp,
+    gcd_modp,
+    parse_int_poly,
+)
 from adelic.primes import primes_up_to, valuation
 from adelic.splitting import (
     BadPrimeError,
@@ -15,8 +23,8 @@ from adelic.splitting import (
     UndeterminedError,
     clear_decomposition_cache,
     decompose,
+    _has_rational_root,
     dedekind_index_test,
-    default_precision,
     good_prime_test,
     kummer_decompose,
     newton_polygon,
@@ -46,6 +54,30 @@ def test_number_field_rejects_bad_input():
         NumberField(P("x^2 - 1"))  # rational roots
     with pytest.raises(ValueError):
         NumberField(P("x^3 + x^2"))  # root at zero
+
+
+def test_has_rational_root_against_trial_division():
+    def by_trial_division(f):
+        c0 = f.coeffs[0]
+        divisors = [d for d in range(1, abs(c0) + 1) if c0 % d == 0]
+        return c0 == 0 or any(f.evaluate(r) == 0 for d in divisors for r in (d, -d))
+
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(600):
+        f = IntPoly([rng.randint(-60, 60) for _ in range(rng.randint(2, 5))] + [1])
+        if rng.random() < 0.3:
+            f = f * IntPoly((-rng.randint(-12, 12), 1))  # plant an integer root
+        disc = discriminant(f)
+        if disc != 0:
+            assert _has_rational_root(f, disc) == by_trial_division(f), f
+            checked += 1
+    assert checked > 500
+    # constant terms far past trial division: the root 10^10, then none
+    yes = P("x^3 - 1000000000000000000000000000000")
+    no = P("x^3 - 1000000000000000000000000000007")
+    assert _has_rational_root(yes, discriminant(yes))
+    assert not _has_rational_root(no, discriminant(no))
 
 
 def test_splitting_type_validation():
@@ -99,6 +131,42 @@ def test_dedekind_examples():
     assert not dedekind_index_test(corpus_field("Q(sqrt2)"), 2)
     assert not dedekind_index_test(corpus_field("Q(sqrt3)"), 2)
     assert dedekind_index_test(corpus_field("index-divisor-cubic"), 2)
+
+
+def _dedekind_by_full_factorization(f: IntPoly, p: int) -> bool:
+    """Dedekind criterion with g, h built from the irreducible factors of f mod p."""
+    g = h = ModPoly(p, (1,))
+    for poly, mult in factor_modp(f.reduce_mod(p)):
+        g = g * poly
+        for _ in range(mult - 1):
+            h = h * poly
+    t = ModPoly(p, [c // p for c in (g.lift() * h.lift() - f).coeffs])
+    return gcd_modp(gcd_modp(g, h), t).degree >= 1
+
+
+def test_kummer_and_dedekind_match_full_factorization_sweep():
+    """Squarefree parts plus DDF counts agree with factor_modp on random fields."""
+    rng = random.Random(11)
+    cleared = index_divisors = 0
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        f = IntPoly([rng.randint(-30, 30) for _ in range(n)] + [1])
+        try:
+            K = NumberField(f)
+        except ValueError:
+            continue
+        for p in primes_up_to(40):
+            expected = sorted((mult, g.degree) for g, mult in factor_modp(f.reduce_mod(p)))
+            divides = _dedekind_by_full_factorization(f, p)
+            assert dedekind_index_test(K, p) == divides, (f, p)
+            if divides:
+                index_divisors += 1
+                with pytest.raises(BadPrimeError):
+                    kummer_decompose(K, p)
+                continue
+            cleared += not good_prime_test(K, p)
+            assert sorted(kummer_decompose(K, p).factors) == expected, (f, p)
+    assert cleared > 50 and index_divisors > 10
 
 
 def test_dedekind_against_maximal_order_oracle():
@@ -176,9 +244,9 @@ def test_newton_polygon_rejects_bad_modulus():
 
 def test_ore_examples():
     K2 = corpus_field("Q(sqrt2)")
-    assert ore_local_decompose(K2, 2, 8).factors == ((2, 1),)
-    assert ore_local_decompose(corpus_field("Q(sqrt3)"), 3, 8).factors == ((2, 1),)
-    assert ore_local_decompose(K2, 7, 8).factors == ((1, 1), (1, 1))
+    assert ore_local_decompose(K2, 2).factors == ((2, 1),)
+    assert ore_local_decompose(corpus_field("Q(sqrt3)"), 3).factors == ((2, 1),)
+    assert ore_local_decompose(K2, 7).factors == ((1, 1), (1, 1))
 
 
 def test_ore_agrees_with_kummer_on_good_primes():
@@ -191,12 +259,12 @@ def test_ore_agrees_with_kummer_on_good_primes():
 
 def test_ore_wild_totally_ramified():
     # 2 is totally ramified with e = 4 in the biquadratic field
-    dec = ore_local_decompose(corpus_field("Q(sqrt2,sqrt3)"), 2, 16)
+    dec = ore_local_decompose(corpus_field("Q(sqrt2,sqrt3)"), 2)
     assert dec.factors == ((4, 1),)
 
 
 def test_ore_undetermined_when_residual_inseparable():
-    dec = ore_local_decompose(corpus_field("undetermined-at-2"), 2, 16)
+    dec = ore_local_decompose(corpus_field("undetermined-at-2"), 2)
     assert not dec.is_resolved
     assert "inseparable" in dec.reason
 
@@ -216,7 +284,7 @@ def test_decompose_dispatcher():
 def test_decompose_examples():
     K2 = corpus_field("Q(sqrt2)")
     assert decompose(K2, 7).factors == ((1, 1), (1, 1))
-    assert decompose(K2, 2, 8).factors == ((2, 1),)
+    assert decompose(K2, 2).factors == ((2, 1),)
     assert decompose(K2, 3).factors == ((1, 2),)
 
 
@@ -233,14 +301,34 @@ def test_decompose_cache_idempotent():
     assert first is second
 
 
-def test_decompose_retries_on_insufficient_precision():
+def test_decompose_newton_route_resolves_index_divisor():
     clear_decomposition_cache()
-    # force the Newton-polygon route at an absurdly small starting precision:
-    # the retry loop doubles it until the polygon is certified
+    # 2 divides the index of the classical cubic, so the Newton-polygon route runs
     K = NumberField(P("x^3 + x^2 - 2*x + 8"))
-    dec = decompose(K, 2, precision=1)
+    dec = decompose(K, 2)
+    assert dec.method == "NewtonPolygon"
     assert dec.is_resolved and dec.factors == ((1, 1), (1, 1), (1, 1))
     clear_decomposition_cache()
+
+
+def test_decompose_exact_valuations_far_above_old_precision():
+    # phi^2 + 2*phi + 2^224*x with phi = x^2 + x + 1: the phi-adic
+    # coefficients have valuations 224, 1, 0, so the polygon has two sides of
+    # length 1, each an unramified prime of residue degree deg(phi) = 2.
+    phi = P("x^2 + x + 1")
+    f = phi * phi + IntPoly((2,)) * phi + IntPoly((0, 2**224))
+    dec = decompose(NumberField(f), 2)
+    assert dec.is_resolved and dec.method == "NewtonPolygon"
+    assert dec.factors == ((1, 2), (1, 2))
+
+
+def test_ore_undetermined_when_lift_of_repeated_factor_divides():
+    # (x^2 + x + 1)(x^2 + x + 3) = (x^2 + x + 1)^2 mod 2 has no rational root,
+    # so it is accepted as a field; the constant phi-adic coefficient is 0.
+    K = NumberField(P("x^4 + 2*x^3 + 5*x^2 + 4*x + 3"))
+    dec = decompose(K, 2)
+    assert not dec.is_resolved and dec.method == "NewtonPolygon"
+    assert dec.reason == "x^2 + x + 1 divides the defining polynomial, which is reducible"
 
 
 def test_splitting_type_projection_examples():
@@ -262,12 +350,6 @@ def test_parallel_sweeps_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(sweep, range(8)))
     assert all(r == results[0] for r in results)
-
-
-def test_default_precision_formula():
-    K2 = corpus_field("Q(sqrt2)")
-    assert default_precision(K2, 2) == 2 * (1 + 3) + 4  # v_2(8) = 3
-    assert default_precision(K2, 5) == 2 * (1 + 0) + 4
 
 
 def test_splitting_type_of_undetermined_raises():
