@@ -41,7 +41,7 @@ from .invariants import (
     signature,
     spectrum,
 )
-from .primes import is_prime
+from .primes import PrimalityCapError, is_prime
 from .splitting import NumberField, UndeterminedError, decompose
 
 EXIT_OK = 0
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except (PolyParseError, FormulaSyntaxError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (EvalCapError, RingCapExceededError) as exc:
+    except (EvalCapError, RingCapExceededError, PrimalityCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (UndeterminedError, UnresolvedPrimeError) as exc:

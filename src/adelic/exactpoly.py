@@ -129,12 +129,12 @@ def _divmod_modp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     """Division with remainder over the field Z/p (divisor need not be monic)."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
+    if b[-1] == 1:
+        return _divmod_monic(a, b, p)
     lc_inv = pow(b[-1], p - 2, p)
-    if lc_inv != 1:
-        b = _trim([c * lc_inv % p for c in b])
-        q, r = _divmod_monic(a, b, p)
-        return _trim([c * lc_inv % p for c in q]), r
-    return _divmod_monic(a, b, p)
+    b = _trim([c * lc_inv % p for c in b])
+    q, r = _divmod_monic(a, b, p)
+    return _trim([c * lc_inv % p for c in q]), r
 
 
 def _monic_modp(a: list[int], p: int) -> list[int]:
@@ -518,18 +518,17 @@ def _pth_root_modp(a: list[int], p: int) -> list[int]:
     return _trim([a[i] for i in range(0, len(a), p)])
 
 
-def squarefree_decomposition(a: ModPoly) -> list[tuple[ModPoly, int]]:
-    """Squarefree decomposition over Z/p: pairwise-coprime parts with multiplicities.
-
-    The product of part**multiplicity equals the input.  Handles vanishing
-    derivatives in characteristic p by extracting p-th roots.
-    """
-    p = a.modulus
-    _require_prime(p)
+def _monic_input(a: ModPoly, name: str) -> list[int]:
+    """Coefficients of a, which must be monic and nonzero over a prime field."""
+    _require_prime(a.modulus)
     if a.is_zero or not a.is_monic:
-        raise ValueError("squarefree decomposition requires a monic nonzero polynomial")
-    f = list(a.coeffs)
-    out: list[tuple[ModPoly, int]] = []
+        raise ValueError(f"{name} requires a monic nonzero polynomial")
+    return list(a.coeffs)
+
+
+def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Squarefree decomposition of the monic f over the prime field Z/p, unsorted."""
+    out: list[tuple[list[int], int]] = []
     scale = 1
     while len(f) > 1:
         d = _deriv(f, p)
@@ -544,11 +543,22 @@ def squarefree_decomposition(a: ModPoly) -> list[tuple[ModPoly, int]]:
             y = _gcd_modp(w, g, p)
             z = _divmod_modp(w, y, p)[0]
             if len(z) > 1:
-                out.append((ModPoly(p, z), i * scale))
+                out.append((z, i * scale))
             w = y
             g = _divmod_modp(g, y, p)[0]
             i += 1
         f = g
+    return out
+
+
+def squarefree_decomposition(a: ModPoly) -> list[tuple[ModPoly, int]]:
+    """Squarefree decomposition over Z/p: pairwise-coprime parts with multiplicities.
+
+    The product of part**multiplicity equals the input.  Handles vanishing
+    derivatives in characteristic p by extracting p-th roots.
+    """
+    f = _monic_input(a, "squarefree decomposition")
+    out = [(ModPoly(a.modulus, z), m) for z, m in _squarefree_parts(f, a.modulus)]
     out.sort(key=lambda t: (t[1], t[0].coeffs))
     return out
 
@@ -557,21 +567,45 @@ def _is_squarefree_modp(a: list[int], p: int) -> bool:
     return len(_gcd_modp(a, _deriv(a, p), p)) == 1
 
 
+def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
+    """Rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p on F_p[x]/(f)."""
+    xp = _powmod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_divmod_monic(_mul(rows[-1], xp, p), f, p)[1])
+    return rows
+
+
+def _frobenius(h: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """h^p modulo f, as the sum of h_i * rows[i] with rows = _frobenius_rows(f, p)."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                acc[j] += c * r
+    return _trim([c % p for c in acc])
+
+
 def _distinct_degree_parts(v: list[int], p: int):
     """Yield (d, product of the degree-d irreducible factors) for ascending d.
 
     v is monic and squarefree over Z/p; degrees with no factor are skipped.
+    x^p mod v is computed once; every later power x^(p^d) comes from one
+    Frobenius step h -> h^p applied as a matrix.  h stays reduced modulo the
+    input v, so the matrix serves unchanged after factors are split off.
+    Once v has no factor of degree <= d and degree below 2(d+1), it is
+    irreducible.
     """
-    h = [0, 1]  # x
+    rows = _frobenius_rows(v, p) if len(v) > 2 else []
+    h = [0, 1]
     d = 0
-    while len(v) - 1 > 2 * d:
+    while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, v, p)
+        h = _frobenius(h, rows, p)
         g = _gcd_modp(_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             yield d, g
             v = _divmod_modp(v, g, p)[0]
-            h = _divmod_modp(h, v, p)[1]
     if len(v) > 1:
         yield len(v) - 1, v
 
@@ -581,14 +615,10 @@ def ddf(a: ModPoly) -> dict[int, int]:
 
     Requires a monic squarefree polynomial over a prime field.
     """
-    p = a.modulus
-    _require_prime(p)
-    if a.is_zero or not a.is_monic:
-        raise ValueError("ddf requires a monic nonzero polynomial")
-    f = list(a.coeffs)
-    if not _is_squarefree_modp(f, p):
+    f = _monic_input(a, "ddf")
+    if not _is_squarefree_modp(f, a.modulus):
         raise NonSquarefreeError("ddf requires a squarefree polynomial")
-    return {d: (len(g) - 1) // d for d, g in _distinct_degree_parts(f, p)}
+    return {d: (len(g) - 1) // d for d, g in _distinct_degree_parts(f, a.modulus)}
 
 
 class _Lcg:
@@ -660,16 +690,22 @@ def cz_factor(a: ModPoly, seed: int) -> list[ModPoly]:
     the canonical (degree, coefficients) order.
     """
     p = a.modulus
-    _require_prime(p)
-    if a.is_zero or not a.is_monic:
-        raise ValueError("cz_factor requires a monic nonzero polynomial")
-    f = list(a.coeffs)
+    f = _monic_input(a, "cz_factor")
     if not _is_squarefree_modp(f, p):
         raise NonSquarefreeError("cz_factor requires a squarefree polynomial")
-    rng = _Lcg(seed)
-    factors = [c for d, g in _distinct_degree_parts(f, p) for c in _edf(g, d, p, rng)]
-    factors.sort(key=lambda c: (len(c), tuple(c)))
-    return [ModPoly(p, c) for c in factors]
+    return [ModPoly(p, c) for c, _ in _factor_modp([(f, 1)], p, seed)]
+
+
+def _factor_modp(parts: list[tuple[list[int], int]], p: int, seed: int) -> list[tuple[list[int], int]]:
+    """(irreducible, multiplicity) pairs of the squarefree parts of a polynomial
+    over Z/p, in (degree, coefficients, multiplicity) order.  Each part is split
+    with its own generator seeded by seed."""
+    out = []
+    for part, mult in parts:
+        rng = _Lcg(seed)
+        out.extend((c, mult) for d, g in _distinct_degree_parts(part, p) for c in _edf(g, d, p, rng))
+    out.sort(key=lambda t: (len(t[0]), t[0], t[1]))
+    return out
 
 
 def factor_modp(a: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]]:
@@ -678,14 +714,11 @@ def factor_modp(a: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]
     Composition of squarefree decomposition and equal-degree splitting; the
     seed defaults to the fixed function of (p, coefficients).
     """
+    p = a.modulus
+    f = _monic_input(a, "factor_modp")
     if seed is None:
-        seed = derive_seed(a.modulus, a.coeffs)
-    out: list[tuple[ModPoly, int]] = []
-    for part, mult in squarefree_decomposition(a):
-        for g in cz_factor(part, seed):
-            out.append((g, mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
-    return out
+        seed = derive_seed(p, a.coeffs)
+    return [(ModPoly(p, c), m) for c, m in _factor_modp(_squarefree_parts(f, p), p, seed)]
 
 
 def is_irreducible_modp(a: ModPoly) -> bool:

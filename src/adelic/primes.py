@@ -2,12 +2,24 @@
 
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: no composite below
+# PROVEN_PRIMALITY_BOUND (psi_13, the least strong pseudoprime to all of the
+# first thirteen prime bases) passes it (Sorenson & Webster, Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_PRIMALITY_BOUND = 3317044064679887385961981
+
+
+class PrimalityCapError(ValueError):
+    """Raised when n >= PROVEN_PRIMALITY_BOUND passes every witness, so that
+    its primality is not proven."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test (Miller-Rabin with a fixed witness set).
+
+    Proven for n < PROVEN_PRIMALITY_BOUND.  Above it a witness can still prove
+    n composite; if none does, PrimalityCapError is raised instead of a guess.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -28,10 +40,15 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PROVEN_PRIMALITY_BOUND:
+        raise PrimalityCapError(
+            f"{n} passes every Miller-Rabin witness, which proves primality only "
+            f"below {PROVEN_PRIMALITY_BOUND}"
+        )
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def primes_up_to(n: int) -> tuple[int, ...]:
     """All primes <= n, ascending (sieve of Eratosthenes)."""
     if n < 2:

@@ -10,26 +10,29 @@ polygon analysis with exact valuations; if some residual polynomial is
 inseparable the result is reported as Undetermined rather than guessed.
 
 Everything here is a pure function over immutable values.  Decompositions are
-cached per (coefficient sequence, prime); the fill is idempotent, so
-concurrent sweeps are safe under the usual atomic dict semantics.
+cached per (coefficient sequence, prime) in a bounded least-recently-used
+cache; the fill is idempotent and the cache is locked, so concurrent sweeps
+are safe.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import (
     IntPoly,
     ModPoly,
-    ddf,
     discriminant,
     factor_modp,
     parse_int_poly,
-    squarefree_decomposition,
+    _distinct_degree_parts,
     _divmod_modp,
     _gcd_modp,
     _mul,
+    _squarefree_parts,
     _trim,
 )
 from .primes import is_prime, valuation
@@ -223,26 +226,20 @@ def good_prime_test(K: NumberField, p: int) -> bool:
     return K.poly_disc % p != 0
 
 
-def dedekind_index_test(K: NumberField, p: int) -> bool:
-    """True iff p divides the index [O_K : Z[alpha]] (Dedekind criterion).
+def _reduce(K: NumberField, p: int) -> list[int]:
+    """The defining polynomial mod p (monic, so no coefficient is trimmed)."""
+    return [c % p for c in K.min_poly.coeffs]
 
-    With f = g*h + p*T where g lifts the radical of f mod p and h lifts the
-    cofactor, p divides the index exactly when gcd(T, g, h) mod p is
-    nonconstant.  When this returns False, factoring f mod p still gives the
-    correct decomposition even though p divides disc(f).
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    parts = squarefree_decomposition(K.min_poly.reduce_mod(p))
+
+def _divides_index(K: NumberField, p: int, parts: list[tuple[list[int], int]]) -> bool:
+    """Dedekind criterion on the squarefree parts of the defining polynomial mod p."""
     g_bar = [1]
     h_bar = [1]
     for poly, mult in parts:
-        g_bar = _mul(g_bar, list(poly.coeffs), p)
+        g_bar = _mul(g_bar, poly, p)
         for _ in range(mult - 1):
-            h_bar = _mul(h_bar, list(poly.coeffs), p)
-    g_lift = IntPoly(g_bar)
-    h_lift = IntPoly(h_bar)
-    diff = g_lift * h_lift - K.min_poly
+            h_bar = _mul(h_bar, poly, p)
+    diff = IntPoly(g_bar) * IntPoly(h_bar) - K.min_poly
     t_coeffs = []
     for c in diff.coeffs:
         if c % p != 0:
@@ -253,6 +250,19 @@ def dedekind_index_test(K: NumberField, p: int) -> bool:
     return len(common) - 1 >= 1
 
 
+def dedekind_index_test(K: NumberField, p: int) -> bool:
+    """True iff p divides the index [O_K : Z[alpha]] (Dedekind criterion).
+
+    With f = g*h + p*T where g lifts the radical of f mod p and h lifts the
+    cofactor, p divides the index exactly when gcd(T, g, h) mod p is
+    nonconstant.  When this returns False, factoring f mod p still gives the
+    correct decomposition even though p divides disc(f).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _divides_index(K, p, _squarefree_parts(_reduce(K, p), p))
+
+
 def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
     """Decomposition of p by factoring the defining polynomial mod p.
 
@@ -260,18 +270,26 @@ def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
     Dedekind criterion shows do not divide the index.  Each irreducible
     factor of multiplicity e and degree f contributes the pair (e, f); the
     pairs come from the distinct-degree counts of each squarefree part, so
-    no factor is split out.  Raises BadPrimeError instead of returning a
+    no factor is split out.  At a good prime f mod p is itself squarefree
+    and is the only part.  Raises BadPrimeError instead of returning a
     possibly wrong answer.
     """
-    if not good_prime_test(K, p) and dedekind_index_test(K, p):
-        raise BadPrimeError(
-            f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
-        )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    f_bar = _reduce(K, p)
+    if K.poly_disc % p:
+        parts = [(f_bar, 1)]
+    else:
+        parts = _squarefree_parts(f_bar, p)
+        if _divides_index(K, p, parts):
+            raise BadPrimeError(
+                f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
+            )
     pairs = [
         (mult, d)
-        for part, mult in squarefree_decomposition(K.min_poly.reduce_mod(p))
-        for d, count in ddf(part).items()
-        for _ in range(count)
+        for part, mult in parts
+        for d, g in _distinct_degree_parts(part, p)
+        for _ in range((len(g) - 1) // d)
     ]
     return _resolved(p, pairs, METHOD_KUMMER, K.degree)
 
@@ -617,11 +635,19 @@ def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
 # ---------------------------------------------------------------------------
 # Dispatcher with caching.
 
-_cache: dict[tuple[tuple[int, ...], int], PrimeDecomposition] = {}
+# The largest working set of one command is the corpus self-check
+# (`adelic --corpus`): 1,196 decompositions, every corpus field at every prime
+# up to 200, which its later sweeps up to 100 and its equivalence checks read
+# again.  The bound keeps all of them; per-prime sweeps such as spectrum,
+# equiv and adele-iso reuse far fewer entries.
+_CACHE_SIZE = 2048
+_cache: OrderedDict[tuple[tuple[int, ...], int], PrimeDecomposition] = OrderedDict()
+_cache_lock = threading.Lock()
 
 
 def clear_decomposition_cache() -> None:
-    _cache.clear()
+    with _cache_lock:
+        _cache.clear()
 
 
 def decompose(K: NumberField, p: int) -> PrimeDecomposition:
@@ -630,14 +656,21 @@ def decompose(K: NumberField, p: int) -> PrimeDecomposition:
     Kummer factorization is used for good primes and for discriminant
     divisors that the Dedekind criterion clears; index divisors go through
     the one-level Newton polygon analysis.  Unresolvable cases come back as
-    Undetermined with a reason, never as a wrong Resolved value.
+    Undetermined with a reason, never as a wrong Resolved value.  Where
+    Kummer factorization applies, the primality of p is checked once.
     """
     key = (K.min_poly.coeffs, p)
-    dec = _cache.get(key)
-    if dec is None:
-        try:
-            dec = kummer_decompose(K, p)
-        except BadPrimeError:
-            dec = ore_local_decompose(K, p)
+    with _cache_lock:
+        dec = _cache.get(key)
+        if dec is not None:
+            _cache.move_to_end(key)
+            return dec
+    try:
+        dec = kummer_decompose(K, p)
+    except BadPrimeError:
+        dec = ore_local_decompose(K, p)
+    with _cache_lock:
         _cache[key] = dec
+        if len(_cache) > _CACHE_SIZE:
+            _cache.popitem(last=False)
     return dec

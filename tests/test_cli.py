@@ -46,6 +46,18 @@ def test_split_composite_prime_rejected(capsys):
     assert code == 2
 
 
+def test_split_rejects_psi12_pseudoprime(capsys):
+    # 399165290221 * 798330580441 passes the Miller-Rabin bases 2..37
+    code, out, err = run(capsys, "split", "x^2 - 2", "--prime", "318665857834031151167461")
+    assert code == 2 and out == "" and "not prime" in err
+
+
+def test_split_refuses_unproven_prime(capsys):
+    # psi_13 passes every witness 2..41; primality is not proven at or above it
+    code, out, err = run(capsys, "split", "x^2 - 2", "--prime", "3317044064679887385961981")
+    assert code == 4 and out == "" and "proves primality only below" in err
+
+
 def test_field_file_with_label(tmp_path, capsys):
     path = tmp_path / "field.txt"
     path.write_text("# a comment\nlabel: my-field\nx^2 - 2\n")

@@ -339,6 +339,70 @@ def test_ddf_root_exhaustion_oracle():
         assert counts.get(1, 0) == roots
 
 
+def _random_squarefree(rng, p, degree):
+    while True:
+        f = ModPoly(p, [rng.randrange(p) for _ in range(degree)] + [1])
+        if gcd_modp(f, f.derivative()).degree == 0:
+            return f
+
+
+# Primes of every size the library meets: tiny, word-sized and near 10**18.
+DDF_PRIMES = (2, 3, 5, 7, 10007, 10**9 + 7, 10**18 + 3)
+
+
+def test_ddf_against_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(41)
+    for p in DDF_PRIMES:
+        for degree in range(1, 13):
+            f = _random_squarefree(rng, p, degree)
+            expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+            want: dict[int, int] = {}
+            for g, _ in sympy.Poly(expr, x, modulus=p).factor_list()[1]:
+                d = sympy.Poly(g, x).degree()
+                want[d] = want.get(d, 0) + 1
+            assert ddf(f) == want, (p, f)
+
+
+def _per_degree_powmod_parts(v: list[int], p: int):
+    """The distinct-degree stage with a fresh x^(p^d) = (x^(p^(d-1)))^p by
+    square-and-multiply at every degree, as an independent slow path."""
+    from adelic.exactpoly import _divmod_modp, _gcd_modp, _powmod, _sub
+
+    h = [0, 1]
+    d = 0
+    while len(v) - 1 > 2 * d:
+        d += 1
+        h = _powmod(h, p, v, p)
+        g = _gcd_modp(_sub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            yield d, g
+            v = _divmod_modp(v, g, p)[0]
+            h = _divmod_modp(h, v, p)[1]
+    if len(v) > 1:
+        yield len(v) - 1, v
+
+
+def test_distinct_degree_parts_match_per_degree_powmod():
+    from adelic.exactpoly import _distinct_degree_parts
+
+    rng = random.Random(43)
+    for p in DDF_PRIMES:
+        for _ in range(40):
+            f = list(_random_squarefree(rng, p, rng.randint(1, 12)).coeffs)
+            assert list(_distinct_degree_parts(f, p)) == list(_per_degree_powmod_parts(f, p))
+    # products of many small factors, where the matrix outlives several splits
+    for p in (2, 3, 5):
+        f = P("1")
+        for g in (P("x"), P("x+1"), P("x^2+x+1"), P("x^3+x+1"), P("x^4+x+1")):
+            f = f * g
+        f = ModPoly(p, f.coeffs)
+        if gcd_modp(f, f.derivative()).degree == 0:
+            coeffs = list(f.coeffs)
+            assert list(_distinct_degree_parts(coeffs, p)) == list(_per_degree_powmod_parts(coeffs, p))
+
+
 def test_cz_examples():
     fs = cz_factor(ModPoly(7, (-2, 0, 1)), seed=1)
     assert [g.lift().to_text() for g in fs] == ["x + 3", "x + 4"]  # x-3 = x+4, x-4 = x+3
@@ -484,3 +548,30 @@ def test_is_prime_against_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_rejects_psi12_pseudoprime():
+    # psi_12: the least strong pseudoprime to the twelve prime bases 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    from adelic.primes import PROVEN_PRIMALITY_BOUND, PrimalityCapError
+
+    # psi_13 passes every witness 2..41; composites above it can still be shown composite
+    with pytest.raises(PrimalityCapError):
+        is_prime(PROVEN_PRIMALITY_BOUND)
+    with pytest.raises(PrimalityCapError):
+        is_prime(2**127 - 1)
+    assert not is_prime(PROVEN_PRIMALITY_BOUND * 3)
+    assert not is_prime(2**128 + 1)
+    assert is_prime(2**61 - 1)
+
+
+def test_primes_up_to_cache_is_bounded():
+    for n in range(100, 140):
+        primes_up_to(n)
+    info = primes_up_to.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -13,6 +13,7 @@ from adelic.exactpoly import (
     gcd_modp,
     parse_int_poly,
 )
+from adelic import splitting
 from adelic.primes import primes_up_to, valuation
 from adelic.splitting import (
     BadPrimeError,
@@ -293,6 +294,89 @@ def test_decompose_undetermined_reason():
     assert not dec.is_resolved and dec.reason
 
 
+def test_decompose_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(splitting, "_CACHE_SIZE", 50)
+    clear_decomposition_cache()
+    K = corpus_field("Q(sqrt2)")
+    L = corpus_field("Q(cbrt2)")
+    primes = primes_up_to(200)
+    for p in primes:
+        decompose(K, p)
+        decompose(L, p)
+        assert len(splitting._cache) <= 50
+    assert len(splitting._cache) == 50
+    # the 50 most recently used entries stay: both fields at the last 25 primes
+    assert set(splitting._cache) == {(F.min_poly.coeffs, p) for F in (K, L) for p in primes[-25:]}
+    # a hit renews an entry, so the next miss evicts the one after it
+    decompose(K, primes[-25])
+    decompose(K, primes[0])
+    assert (K.min_poly.coeffs, primes[-25]) in splitting._cache
+    assert (L.min_poly.coeffs, primes[-25]) not in splitting._cache
+    clear_decomposition_cache()
+    assert len(splitting._cache) == 0
+
+
+def test_decompose_cache_holds_the_corpus_self_check():
+    from adelic.cli import run_corpus_checks
+
+    clear_decomposition_cache()
+    run_corpus_checks()
+    for K in corpus_fields():
+        for p in primes_up_to(200):
+            assert (K.min_poly.coeffs, p) in splitting._cache, (K.name(), p)
+    clear_decomposition_cache()
+
+
+def test_decompose_cache_is_shared_by_labels_of_one_polynomial():
+    clear_decomposition_cache()
+    K = NumberField(parse_int_poly("x^3 - 2"), label="one")
+    L = NumberField(parse_int_poly("x^3 - 2"), label="two")
+    assert decompose(K, 5) is decompose(L, 5)
+
+
+def test_decompose_checks_primality_once(monkeypatch):
+    from adelic import exactpoly
+
+    # disc(f) = -4 * 503: a good prime, a Dedekind-cleared prime, an index divisor
+    K = corpus_field("index-divisor-cubic")
+    assert K.poly_disc == -4 * 503
+    calls = []
+    is_prime = exactpoly.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    # every primality check made under decompose, in either module
+    monkeypatch.setattr(exactpoly, "is_prime", counting_is_prime)
+    monkeypatch.setattr(splitting, "is_prime", counting_is_prime)
+    clear_decomposition_cache()
+    assert [decompose(K, p).method for p in (3, 503, 2)] == ["Kummer", "Kummer", "NewtonPolygon"]
+    # kummer_decompose checks once; an index divisor is checked again by
+    # ore_local_decompose and by its factor_modp
+    assert calls == [3, 503, 2, 2, 2]
+    del calls[:]
+    for p in (3, 503, 2):
+        decompose(K, p)
+    assert calls == []
+
+
+def test_kummer_good_prime_path_matches_squarefree_part_route():
+    from adelic.exactpoly import ddf, squarefree_decomposition
+
+    for K in corpus_fields():
+        for p in primes_up_to(400):
+            if not good_prime_test(K, p):
+                continue
+            pairs = sorted(
+                (mult, d)
+                for part, mult in squarefree_decomposition(K.min_poly.reduce_mod(p))
+                for d, count in ddf(part).items()
+                for _ in range(count)
+            )
+            assert sorted(kummer_decompose(K, p).factors) == pairs, (K.name(), p)
+
+
 def test_decompose_cache_idempotent():
     clear_decomposition_cache()
     K = corpus_field("Q(cbrt2)")
@@ -350,6 +434,35 @@ def test_parallel_sweeps_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(sweep, range(8)))
     assert all(r == results[0] for r in results)
+
+
+def test_parallel_sweeps_past_the_cache_bound(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(splitting, "_CACHE_SIZE", 60)
+    fields = [corpus_field("Q(fourthroot2)"), corpus_field("Q(cbrt2)"), corpus_field("Q(zeta8)")]
+    primes = list(primes_up_to(300))
+    assert len(fields) * len(primes) > 60
+    clear_decomposition_cache()
+    want = [[decompose(K, p).factors for p in primes] for K in fields]
+    clear_decomposition_cache()
+
+    def sweep(i):
+        K = fields[i % len(fields)]
+        got = [decompose(K, p).factors for p in primes]
+        assert len(splitting._cache) <= 60
+        return i % len(fields), got
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(sweep, i) for i in range(12)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(got == want[k] for k, got in results)
+    assert len(splitting._cache) == 60
 
 
 def test_splitting_type_of_undetermined_raises():
@@ -410,9 +523,9 @@ def test_splitting_types_against_sympy_factorization():
     """Independent sweep: residue degrees from an unrelated factorization engine."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
-    for K in (corpus_field("Q(cbrt2)"), corpus_field("quartic-283"), corpus_field("deg7-pair-a")):
+    for K in corpus_fields():
         expr = sum(c * x**i for i, c in enumerate(K.min_poly.coeffs))
-        for p in primes_up_to(60):
+        for p in primes_up_to(400):
             if not good_prime_test(K, p):
                 continue
             fl = sympy.Poly(expr, x, modulus=p).factor_list()[1]
