@@ -19,7 +19,7 @@ import os
 import sys
 
 from .corpus import corpus_fields
-from .exactpoly import PolyParseError
+from .exactpoly import DegreeCapError, PolyParseError
 from .finring import DEFAULT_RING_ORDER_CAP, RingCapExceededError
 from .fv import (
     ArityMismatchError,
@@ -41,7 +41,7 @@ from .invariants import (
     signature,
     spectrum,
 )
-from .primes import PrimalityCapError, is_prime
+from .primes import PrimalityCapError, PrimeBoundCapError, is_prime
 from .splitting import NumberField, UndeterminedError, decompose
 
 EXIT_OK = 0
@@ -59,9 +59,12 @@ class _CliError(Exception):
 
 def _load_field(arg: str) -> NumberField:
     """A field argument is a file path or an inline polynomial."""
+    label = None
+    poly_text = arg
+    where = repr(arg)
     if os.path.exists(arg):
-        label = None
         poly_text = None
+        where = arg
         with open(arg, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
@@ -74,14 +77,12 @@ def _load_field(arg: str) -> NumberField:
                 break
         if poly_text is None:
             raise _CliError(f"{arg}: no polynomial line found", EXIT_PARSE)
-        try:
-            return NumberField.from_text(poly_text, label=label)
-        except (PolyParseError, ValueError) as exc:
-            raise _CliError(f"{arg}: {exc}", EXIT_PARSE) from exc
     try:
-        return NumberField.from_text(arg)
-    except (PolyParseError, ValueError) as exc:
-        raise _CliError(f"{arg!r}: {exc}", EXIT_PARSE) from exc
+        return NumberField.from_text(poly_text, label=label)
+    except DegreeCapError:
+        raise
+    except ValueError as exc:
+        raise _CliError(f"{where}: {exc}", EXIT_PARSE) from exc
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -424,7 +425,13 @@ def main(argv=None) -> int:
     except (PolyParseError, FormulaSyntaxError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (EvalCapError, RingCapExceededError, PrimalityCapError) as exc:
+    except (
+        EvalCapError,
+        RingCapExceededError,
+        PrimalityCapError,
+        PrimeBoundCapError,
+        DegreeCapError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (UndeterminedError, UnresolvedPrimeError) as exc:

@@ -13,7 +13,6 @@ point is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .primes import is_prime
 
@@ -21,6 +20,8 @@ __all__ = [
     "IntPoly",
     "ModPoly",
     "PolyParseError",
+    "DegreeCapError",
+    "MAX_DEGREE",
     "CompositeModulusError",
     "NonSquarefreeError",
     "parse_int_poly",
@@ -44,6 +45,14 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# Largest degree the parser builds; see the README for how it was sized.
+MAX_DEGREE = 64
+
+
+class DegreeCapError(ValueError):
+    """Raised when polynomial text asks for a degree above MAX_DEGREE."""
 
 
 class CompositeModulusError(ValueError):
@@ -449,6 +458,8 @@ def parse_int_poly(text: str) -> IntPoly:
 
     Grammar: sums/differences of terms; a term is a product of factors; a
     factor is an integer literal or x with an optional nonnegative ^ power.
+    A power or product of degree above MAX_DEGREE raises DegreeCapError
+    before anything of that degree is built.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -466,6 +477,12 @@ def parse_int_poly(text: str) -> IntPoly:
         pos += 1
         return tok
 
+    def check_degree(degree: int, position: int) -> None:
+        if degree > MAX_DEGREE:
+            raise DegreeCapError(
+                f"degree {degree} exceeds the cap {MAX_DEGREE} (at position {position})"
+            )
+
     def parse_factor() -> IntPoly:
         tok = take()
         if tok[0] == "int":
@@ -474,6 +491,7 @@ def parse_int_poly(text: str) -> IntPoly:
             if peek() is not None and peek()[0] == "^":
                 take("^")
                 etok = take("int")
+                check_degree(int(etok[1]), etok[2])
                 return IntPoly.monomial(1, int(etok[1]))
             return IntPoly.x()
         raise PolyParseError(f"expected a coefficient or x, found {tok[1]!r}", tok[2])
@@ -481,8 +499,10 @@ def parse_int_poly(text: str) -> IntPoly:
     def parse_term() -> IntPoly:
         acc = parse_factor()
         while peek() is not None and peek()[0] == "*":
-            take("*")
-            acc = acc * parse_factor()
+            star = take("*")
+            factor = parse_factor()
+            check_degree(acc.degree + factor.degree, star[2])
+            acc = acc * factor
         return acc
 
     if not tokens:
@@ -762,46 +782,55 @@ def irreducible_modp(p: int, d: int) -> ModPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultant, discriminant, and Sturm real-root counting (exact over Q).
+# Resultant, discriminant, and Sturm real-root counting (exact over Z).
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        c = r[-1] / b[-1]
-        k = len(r) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            r[k + j] -= c * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+def _subresultants(a: list[int], b: list[int]):
+    """Walk the subresultant remainder sequence of a and b over Z.
+
+    a and b are nonzero with deg a >= deg b.  Each step takes the
+    pseudo-remainder lc(b)^(delta+1) * a mod b, delta = deg a - deg b, and
+    divides it exactly by beta = g * h^delta; then g <- lc(b) and
+    h <- g^delta / h^(delta-1) (Collins 1967; Brown & Traub 1971; Cohen,
+    Alg. 3.3.7).  Yields (b, r, delta, beta, h) with r the next member and h
+    updated; stops after a member r of degree <= 0.
+    """
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        lb = b[-1]
+        r = list(a)
+        for k in range(delta, -1, -1):
+            c = r.pop()
+            r = [lb * x for x in r]
+            for j in range(len(b) - 1):
+                r[k + j] -= c * b[j]
+        beta = g * h**delta
+        r = [x // beta for x in _trim(r)]
+        g = lb
+        h = g**delta // h ** (delta - 1) if delta else h
+        yield b, r, delta, beta, h
+        a, b = b, r
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:
-    """Resultant of two integer polynomials, exact (Euclidean recursion over Q)."""
+    """Resultant of two integer polynomials, exact (subresultant sequence over Z)."""
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    acc = Fraction(1)
-    while True:
-        da, db = len(fa) - 1, len(fb) - 1
-        if db == 0:
-            acc *= fb[0] ** da
-            break
-        _, r = _frac_divmod(fa, fb)
+    a, b = list(a.coeffs), list(b.coeffs)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    if len(b) == 1:
+        return sign * b[0] ** (len(a) - 1)
+    for b, r, delta, _, h in _subresultants(a, b):
+        db = len(b) - 1
+        if (db + delta) * db % 2:
+            sign = -sign
         if not r:
             return 0
-        dr = len(r) - 1
-        if (da * db) % 2 == 1:
-            acc = -acc
-        acc *= fb[-1] ** (da - dr)
-        fa, fb = fb, r
-    assert acc.denominator == 1
-    return int(acc)
+    return sign * (r[0] ** db // h ** (db - 1))
 
 
 def discriminant(f: IntPoly) -> int:
@@ -817,46 +846,35 @@ def discriminant(f: IntPoly) -> int:
     return sign * resultant(f, f.derivative())
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _sign_variations(signs: list[int]) -> int:
-    filtered = [s for s in signs if s != 0]
-    return sum(1 for s1, s2 in zip(filtered, filtered[1:]) if s1 * s2 < 0)
+    return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
 
 
 def sturm_real_roots(f: IntPoly) -> int:
     """Number of distinct real roots of a squarefree integer polynomial.
 
     Sign-variation difference of the Sturm sequence at -infinity and
-    +infinity, computed in exact rational arithmetic.
+    +infinity.  The Sturm members are the subresultant members of f and f'
+    times factors c_i of known sign, c_0 = c_1 = 1 and
+    sign(c_{i+1}) = -sign(c_{i-1}) * sign(beta) * sign(lc b)^(delta+1),
+    so only signs are tracked.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return 0
-    chain: list[list[Fraction]] = [[Fraction(c) for c in f.coeffs]]
-    chain.append([Fraction(c) for c in f.derivative().coeffs])
-    g = _frac_gcd(chain[0], chain[1])
-    if len(g) > 1:
-        raise NonSquarefreeError("Sturm counting requires a squarefree polynomial")
-    while len(chain[-1]) > 1:
-        _, r = _frac_divmod(chain[-2], chain[-1])
+    a, b = list(f.coeffs), _deriv(list(f.coeffs), None)
+    # (degree, sign of the leading coefficient) of each Sturm member.
+    members = [(len(a) - 1, _sign(a[-1])), (len(b) - 1, _sign(b[-1]))]
+    c_prev, c = 1, 1
+    for b, r, delta, beta, _ in _subresultants(a, b):
         if not r:
-            break
-        chain.append([-c for c in r])
-    at_minus = []
-    at_plus = []
-    for poly in chain:
-        if not poly:
-            continue
-        lead = poly[-1]
-        deg = len(poly) - 1
-        s = 1 if lead > 0 else -1
-        at_plus.append(s)
-        at_minus.append(s if deg % 2 == 0 else -s)
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
-
-
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    return a
+            raise NonSquarefreeError("Sturm counting requires a squarefree polynomial")
+        c_prev, c = c, -c_prev * _sign(beta) * _sign(b[-1]) ** (delta + 1)
+        members.append((len(r) - 1, c * _sign(r[-1])))
+    at_minus = [s * (-1) ** deg for deg, s in members]
+    return _sign_variations(at_minus) - _sign_variations([s for _, s in members])

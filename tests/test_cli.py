@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line driver."""
 
 import json
+import random
+import time
 
 from adelic.cli import main
+from adelic.exactpoly import MAX_DEGREE, IntPoly
+from adelic.primes import MAX_PRIME_BOUND, PROVEN_PRIMALITY_BOUND, primes_up_to
 
 
 def run(capsys, *argv):
@@ -182,3 +186,78 @@ def test_json_round_trip(capsys):
     _, out, _ = run(capsys, "equiv", "x^2-2", "x^2-3", "--format", "json")
     data = json.loads(out)
     assert json.loads(json.dumps(data, sort_keys=True)) == data
+
+
+def test_degree_cap_exit_code(capsys):
+    code, out, err = run(capsys, "split", f"x^{MAX_DEGREE + 1}", "--prime", "2")
+    assert code == 4 and out == "" and "exceeds the cap" in err
+    code, out, err = run(capsys, "split", "x^40*x^40", "--prime", "2")
+    assert code == 4 and out == "" and "exceeds the cap" in err
+    code, out, _ = run(capsys, "split", f"x^{MAX_DEGREE} - 2", "--prime", "3")
+    assert code == 0 and f"= [K:Q] = {MAX_DEGREE}" in out
+
+
+def test_degree_cap_exit_code_from_field_file(tmp_path, capsys):
+    field = tmp_path / "big.field"
+    field.write_text("label: big\nx^1000000000 + 1\n")
+    code, out, err = run(capsys, "split", str(field), "--prime", "2")
+    assert code == 4 and out == "" and "exceeds the cap" in err
+
+
+def test_bound_cap_exit_code(capsys):
+    code, out, err = run(capsys, "spectrum", "x^2+1", "--bound", str(MAX_PRIME_BOUND + 1))
+    assert code == 4 and out == "" and "exceeds the cap" in err
+    code, _, err = run(capsys, "invariants", "x^2+1", "--bound", str(MAX_PRIME_BOUND + 1))
+    assert code == 4 and "exceeds the cap" in err
+
+
+def _fuzz_poly(rng: random.Random) -> str:
+    """Random polynomial text: degree 1-40, coefficients up to 10^30 in size,
+    sometimes non-monic, sometimes a product of two factors."""
+
+    def part(degree: int) -> IntPoly:
+        lead = 1 if rng.random() < 0.7 else rng.randint(2, 10**30)
+        return IntPoly([rng.randint(-(10**30), 10**30) for _ in range(degree)] + [lead])
+
+    degree = rng.randint(1, 40)
+    if degree >= 2 and rng.random() < 0.3:
+        k = rng.randint(1, degree - 1)
+        return (part(k) * part(degree - k)).to_text()
+    return part(degree).to_text()
+
+
+def _main_exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed option with exit 2
+        return exc.code
+
+
+def test_fuzz_main_exit_codes(capsys):
+    """Seeded random fields and edge strings through main(): every case ends
+    in a defined exit code, never an uncaught exception or a hang."""
+    rng = random.Random(20261018)
+    small_primes = primes_up_to(1000)
+    cases = []
+    for _ in range(20):
+        text = _fuzz_poly(rng)
+        for p in (2, rng.choice(small_primes), 10**9 + 7):
+            cases.append(["split", text, "--prime", str(p)])
+        cases.append(["invariants", text, "--bound", "30"])
+    edge_cases = [
+        (["split", "x^1000000000", "--prime", "2"], 4),
+        (["spectrum", "x^2+1", "--bound", "10^12"], 2),
+        (["spectrum", "x^2+1", "--bound", str(10**12)], 4),
+        (["split", "", "--prime", "2"], 2),
+        (["split", "y^2", "--prime", "2"], 2),
+        (["split", "2*x^2+1", "--prime", "2"], 2),
+        (["split", "x^2+1", "--prime", "4"], 2),
+        (["split", "x^2+1", "--prime", str(PROVEN_PRIMALITY_BOUND)], 4),
+    ]
+    start = time.perf_counter()
+    for argv in cases:
+        assert _main_exit_code(argv) in (0, 2, 3, 4), argv
+    for argv, want in edge_cases:
+        assert _main_exit_code(argv) == want, argv
+    capsys.readouterr()
+    assert time.perf_counter() - start < 60

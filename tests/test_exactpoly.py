@@ -1,12 +1,15 @@
 """Tests for exact integer and modular polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from adelic.exactpoly import (
+    MAX_DEGREE,
     CompositeModulusError,
+    DegreeCapError,
     IntPoly,
     ModPoly,
     NonSquarefreeError,
@@ -65,6 +68,65 @@ def sylvester_resultant(a: IntPoly, b: IntPoly) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[size - 1][size - 1]
+
+
+def _fraction_divmod(a: list[Fraction], b: list[Fraction]):
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    db = len(b) - 1
+    while len(r) - 1 >= db and r:
+        c = r[-1] / b[-1]
+        k = len(r) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            r[k + j] -= c * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def fraction_resultant(a: IntPoly, b: IntPoly) -> int:
+    """Resultant by the Euclidean recursion over Q, as a slow-path oracle."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    acc = Fraction(1)
+    while True:
+        da, db = len(fa) - 1, len(fb) - 1
+        if db == 0:
+            acc *= fb[0] ** da
+            break
+        _, r = _fraction_divmod(fa, fb)
+        if not r:
+            return 0
+        if (da * db) % 2 == 1:
+            acc = -acc
+        acc *= fb[-1] ** (da - (len(r) - 1))
+        fa, fb = fb, r
+    assert acc.denominator == 1
+    return int(acc)
+
+
+def fraction_sturm_real_roots(f: IntPoly) -> int:
+    """Distinct real roots from the Sturm chain f, f', -rem, ... over Q, as a
+    slow-path oracle; raises NonSquarefreeError like sturm_real_roots."""
+    if f.degree == 0:
+        return 0
+    chain = [[Fraction(c) for c in f.coeffs], [Fraction(c) for c in f.derivative().coeffs]]
+    while True:
+        _, r = _fraction_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    if len(chain[-1]) > 1:
+        raise NonSquarefreeError("not squarefree")
+    signs = [(1 if poly[-1] > 0 else -1, len(poly) - 1) for poly in chain]
+    at_plus = [s for s, _ in signs]
+    at_minus = [s if deg % 2 == 0 else -s for s, deg in signs]
+
+    def variations(v):
+        return sum(1 for s1, s2 in zip(v, v[1:]) if s1 != s2)
+
+    return variations(at_minus) - variations(at_plus)
 
 
 def grid_real_root_count(f: IntPoly, sturm_value: int) -> int:
@@ -233,6 +295,15 @@ def test_shift():
     f = P("x^3 - x - 1")
     g = f.shift(2)
     assert all(g.evaluate(t) == f.evaluate(t + 2) for t in range(-5, 6))
+
+
+def test_parse_degree_cap():
+    assert P(f"x^{MAX_DEGREE} - 2").degree == MAX_DEGREE
+    assert P("x^32*x^32").degree == 64 == MAX_DEGREE
+    assert P(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}") == IntPoly.zero()
+    for text in (f"x^{MAX_DEGREE + 1}", "x^40*x^40", "x*x^64", "3 + 2*x^1000000000"):
+        with pytest.raises(DegreeCapError, match="exceeds the cap"):
+            P(text)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +595,118 @@ def test_sturm_against_grid_bisection_oracle():
         done += 1
 
 
+def _random_int_poly(rng: random.Random, degree: int, monic: bool = False) -> IntPoly:
+    lead = 1 if monic else rng.choice([c for c in range(-9, 10) if c])
+    return IntPoly([rng.randint(-300, 300) for _ in range(degree)] + [lead])
+
+
+def test_resultant_matches_fraction_oracle():
+    # non-monic inputs, deg b > deg a, common factors and non-primitive inputs
+    rng = random.Random(67)
+    kinds = {"zero": 0, "common": 0, "swapped": 0}
+    for _ in range(1500):
+        a = _random_int_poly(rng, rng.randint(0, 8))
+        b = _random_int_poly(rng, rng.randint(0, 8))
+        if rng.random() < 0.2:
+            c = _random_int_poly(rng, rng.randint(1, 3))
+            a, b = a * c, b * c
+            kinds["common"] += 1
+        if rng.random() < 0.2:
+            a = a * IntPoly((rng.randint(2, 12),))
+        res = resultant(a, b)
+        assert res == fraction_resultant(a, b), (a, b)
+        kinds["zero"] += res == 0
+        kinds["swapped"] += b.degree > a.degree
+    assert all(v > 100 for v in kinds.values()), kinds
+
+
+def _sturm_or_error(fn, f):
+    try:
+        return fn(f)
+    except NonSquarefreeError:
+        return "not squarefree"
+
+
+def test_discriminant_and_sturm_match_fraction_oracle_monic():
+    rng = random.Random(68)
+    non_squarefree = 0
+    for _ in range(1000):
+        f = _random_int_poly(rng, rng.randint(1, 9), monic=True)
+        if rng.random() < 0.25:
+            g = _random_int_poly(rng, rng.randint(1, 3), monic=True)
+            f = f * g * g
+        n = f.degree
+        want = (-1) ** (n * (n - 1) // 2) * fraction_resultant(f, f.derivative()) if n > 1 else 1
+        assert discriminant(f) == want, f
+        got = _sturm_or_error(sturm_real_roots, f)
+        assert got == _sturm_or_error(fraction_sturm_real_roots, f), f
+        non_squarefree += got == "not squarefree"
+    assert non_squarefree > 100
+
+
+def test_sturm_matches_fraction_oracle_non_monic():
+    rng = random.Random(69)
+    for _ in range(1000):
+        f = _random_int_poly(rng, rng.randint(0, 9))
+        if rng.random() < 0.25:
+            g = _random_int_poly(rng, rng.randint(1, 3))
+            f = f * g * g
+        want = _sturm_or_error(fraction_sturm_real_roots, f)
+        assert _sturm_or_error(sturm_real_roots, f) == want, f
+
+
+def test_sturm_counts_products_of_linear_factors():
+    # all roots real: n distinct roots r or r + 1/3 give n, and a repeated one is caught
+    rng = random.Random(70)
+    for n in range(1, 16):
+        factors = [
+            IntPoly((-r, 1)) if rng.random() < 0.5 else IntPoly((-3 * r - 1, 3))
+            for r in rng.sample(range(-50, 51), n)
+        ]
+        f = IntPoly((1,))
+        for g in factors:
+            f = f * g
+        assert sturm_real_roots(f) == n
+        with pytest.raises(NonSquarefreeError):
+            sturm_real_roots(f * factors[0])
+
+
+def test_resultant_discriminant_count_roots_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(71)
+    big = 10**30
+    for degree in (10, 15, 20, 25, 30, 35, 40):
+        f = IntPoly([rng.randint(-big, big) for _ in range(degree)] + [1])
+        g = IntPoly([rng.randint(-big, big) for _ in range(degree - 3)] + [rng.randint(1, big)])
+        F = sympy.Poly(list(reversed(f.coeffs)), x)
+        G = sympy.Poly(list(reversed(g.coeffs)), x)
+        assert resultant(f, g) == F.resultant(G)
+        assert resultant(g, f) == G.resultant(F)
+        assert discriminant(f) == F.discriminant()
+        # sympy's root isolation is slow on dense inputs past degree 20, so
+        # the real-root counts there use sparse polynomials
+        if degree > 20:
+            cs = [rng.randint(1, big)] + [0] * (degree - 1)
+            for i in rng.sample(range(1, degree), 2):
+                cs[i] = rng.randint(-big, big)
+            f = IntPoly(cs + [rng.choice([1, rng.randint(2, big)])])
+            F = sympy.Poly(list(reversed(f.coeffs)), x)
+        assert sturm_real_roots(f) == F.count_roots()
+
+
+def test_field_and_signature_at_degree_30_is_fast():
+    from adelic.invariants import signature
+    from adelic.splitting import NumberField
+
+    rng = random.Random(72)
+    f = IntPoly([rng.randint(-(2**100), 2**100) for _ in range(30)] + [1])
+    start = time.perf_counter()
+    sig = signature(NumberField(f))
+    assert time.perf_counter() - start < 1.0
+    assert sig.r1 + 2 * sig.r2 == 30
+
+
 # ---------------------------------------------------------------------------
 # Deterministic irreducible polynomials.
 
@@ -548,6 +731,30 @@ def test_is_prime_against_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_against_sieve_below_a_million():
+    primes = primes_up_to(10**6)
+    sieve = bytearray(10**6)
+    for p in primes:
+        sieve[p] = 1
+    assert [n for n in range(10**6) if is_prime(n) != sieve[n]] == []
+
+
+PSI = (  # psi_1 .. psi_13, OEIS A014233
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_rejects_psi_1_to_12():
+    from adelic.primes import _PSI, PROVEN_PRIMALITY_BOUND
+
+    assert _PSI == PSI and PROVEN_PRIMALITY_BOUND == PSI[-1]
+    for psi in PSI[:12]:
+        assert not is_prime(psi), psi
+    assert is_prime(2039) and is_prime(2053)  # the primes around psi_1
 
 
 def test_is_prime_rejects_psi12_pseudoprime():
