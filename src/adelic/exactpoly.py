@@ -491,8 +491,15 @@ def parse_int_poly(text: str) -> IntPoly:
             if peek() is not None and peek()[0] == "^":
                 take("^")
                 etok = take("int")
-                check_degree(int(etok[1]), etok[2])
-                return IntPoly.monomial(1, int(etok[1]))
+                # Compare lengths first: int() refuses literals past 4,300 digits.
+                digits = etok[1].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_DEGREE)):
+                    raise DegreeCapError(
+                        f"degree of {len(digits)} digits exceeds the cap {MAX_DEGREE} "
+                        f"(at position {etok[2]})"
+                    )
+                check_degree(int(digits), etok[2])
+                return IntPoly.monomial(1, int(digits))
             return IntPoly.x()
         raise PolyParseError(f"expected a coefficient or x, found {tok[1]!r}", tok[2])
 

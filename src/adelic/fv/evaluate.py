@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..finring import FiniteRing, find_ring_isomorphism
-from .family import FiniteFamily
+from .family import MAX_INDEX_SET, FiniteFamily
 from .formulas import (
     And,
     BConst,
@@ -237,11 +237,11 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
     """Satisfaction of psi in the powerset algebra of the index set.
 
     assignment maps free v-indices to subsets of the index set; quantifiers
-    range over all 2^|I| subsets, so |I| is capped at 16.
+    range over all 2^|I| subsets, so |I| is capped at MAX_INDEX_SET.
     """
     universe = frozenset(index_set)
-    if len(universe) > 16:
-        raise EvalCapError("index set larger than 16 is not supported")
+    if len(universe) > MAX_INDEX_SET:
+        raise EvalCapError(f"index set larger than {MAX_INDEX_SET} is not supported")
     env = {}
     from .formulas import boole_free_vars
 

@@ -461,7 +461,6 @@ def parse_boole_formula(text: str) -> Formula:
     result = parser.parse_formula()
     if parser.peek() is not None:
         raise parser._error(f"trailing input {parser.peek().text!r}")
-    _check_boole(result)
     return result
 
 
@@ -476,8 +475,6 @@ def _check_ring(node: Formula, bound: frozenset[str]) -> None:
         _check_ring(node.right, bound)
     elif isinstance(node, (Exists, Forall)):
         _check_ring(node.body, bound | {node.var})
-    elif isinstance(node, (BEq, BSub, BFin, BConst)):
-        raise ValueError("Boolean atom inside a ring formula")
     else:
         raise TypeError(f"unexpected node {node!r}")
 
@@ -491,22 +488,6 @@ def _check_ring_term(term: RingTerm, bound: frozenset[str]) -> None:
         _check_ring_term(term.right, bound)
     elif not isinstance(term, (RVar, RConst)):
         raise TypeError(f"unexpected term {term!r}")
-
-
-def _check_boole(node: Formula) -> None:
-    if isinstance(node, (BEq, BSub, BFin, BConst)):
-        return
-    if isinstance(node, Not):
-        _check_boole(node.body)
-    elif isinstance(node, (And, Or, Implies)):
-        _check_boole(node.left)
-        _check_boole(node.right)
-    elif isinstance(node, (Exists, Forall)):
-        _check_boole(node.body)
-    elif isinstance(node, REq):
-        raise ValueError("ring atom inside a Boolean formula")
-    else:
-        raise TypeError(f"unexpected node {node!r}")
 
 
 # -- free variables, arity, depth -------------------------------------------

@@ -24,15 +24,17 @@ from fractions import Fraction
 
 from .exactpoly import (
     IntPoly,
-    ModPoly,
     discriminant,
     factor_modp,
     parse_int_poly,
+    _add,
     _distinct_degree_parts,
-    _divmod_modp,
+    _divmod_monic,
     _gcd_modp,
     _mul,
+    _powmod,
     _squarefree_parts,
+    _sub,
     _trim,
 )
 from .primes import is_prime, valuation
@@ -65,7 +67,11 @@ class BadPrimeError(ValueError):
 
 
 class InsufficientPrecisionError(Exception):
-    """Raised when a Newton polygon cannot be certified at the working precision."""
+    """Formerly raised by the finite-precision Newton polygon; nothing raises it now.
+
+    Every valuation is exact over Z, so no polygon is uncertain.  The class
+    stays importable for callers that still catch it.
+    """
 
 
 class UndeterminedError(ValueError):
@@ -295,7 +301,7 @@ def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Newton polygons at finite p-adic precision.
+# Exact Newton polygons.
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,17 +312,14 @@ class Segment:
     length: int
 
 
-def _capped_valuation(n: int, p: int, cap: int) -> int | None:
-    """v_p(n), or None when it cannot be certified below cap (including n == 0)."""
-    if n % (p**cap) == 0:
-        return None
-    return valuation(n, p)
+def _sides(vals: list[int | None]) -> list[tuple[int, int, Segment]]:
+    """(x, y, side) for each side of the lower convex hull of the points (i, vals[i]).
 
-
-def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Lower convex hull vertices of integer points sorted by abscissa."""
+    None in vals means no point.  (x, y) is the left end of the side; sides
+    run left to right, so their slopes strictly decrease.
+    """
     hull: list[tuple[int, int]] = []
-    for pt in points:
+    for pt in ((i, v) for i, v in enumerate(vals) if v is not None):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # Keep the middle point only when the slopes strictly increase.
@@ -325,208 +328,120 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
             else:
                 break
         hull.append(pt)
-    return hull
+    return [
+        (x1, y1, Segment(Fraction(y1 - y2, x2 - x1), x2 - x1))
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]
 
 
-def _hull_value(hull: list[tuple[int, int]], x: int) -> Fraction:
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    raise ValueError(f"abscissa {x} outside hull range")
+def newton_polygon(f: IntPoly, p: int) -> list[Segment]:
+    """Newton polygon of f at p: the sides of the lower hull of (i, v_p(a_i)).
 
-
-def _certified_hull(vals: list[int | None], precision: int) -> list[tuple[int, int]]:
-    """Hull of the points (i, vals[i]), refusing when unknown valuations could matter.
-
-    vals[i] is None when the valuation is only known to be >= precision.  The
-    hull is certified when every unknown point lies strictly above it.
-    """
-    known = [(i, v) for i, v in enumerate(vals) if v is not None]
-    unknown = [i for i, v in enumerate(vals) if v is None]
-    if not known:
-        raise InsufficientPrecisionError("no coefficient valuation is certified")
-    first = known[0][0]
-    if any(i < first for i in unknown):
-        raise InsufficientPrecisionError(
-            f"valuation at position {min(unknown)} exceeds working precision {precision}"
-        )
-    hull = _lower_hull(known)
-    for i in unknown:
-        if i <= known[-1][0] and _hull_value(hull, i) >= precision:
-            raise InsufficientPrecisionError(
-                f"hull height at position {i} is not below working precision {precision}"
-            )
-    if any(v >= precision for _, v in hull):
-        raise InsufficientPrecisionError("a hull vertex reaches the working precision")
-    return hull
-
-
-def newton_polygon(f_local: ModPoly, p: int) -> list[Segment]:
-    """Newton polygon of a polynomial with coefficients known modulo p^m.
-
-    Returns the sides of the lower convex hull of (i, v_p(a_i)) left to
-    right; slopes (valuation drop per step) are strictly decreasing.  A
-    coefficient congruent to 0 mod p^m has uncertain valuation; if that
-    uncertainty could change the hull, InsufficientPrecisionError is raised.
+    Zero coefficients give no point.  Sides run left to right, so slopes
+    (valuation drop per step) strictly decrease.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if f_local.is_zero:
+    if f.is_zero:
         raise ValueError("Newton polygon of the zero polynomial is undefined")
-    m = 0
-    mod = f_local.modulus
-    while mod % p == 0:
-        mod //= p
-        m += 1
-    if mod != 1 or m < 1:
-        raise ValueError(f"modulus {f_local.modulus} is not a power of {p}")
-    vals = [_capped_valuation(c, p, m) for c in f_local.coeffs]
-    hull = _certified_hull(vals, m)
-    segments = [
-        Segment(Fraction(y1 - y2, x2 - x1), x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    ]
-    return segments
+    return [side for _, _, side in _sides([valuation(c, p) if c else None for c in f.coeffs])]
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F_q = F_p[x]/(phi) and in F_q[y], used for residual polynomials.
-# Elements of F_q are int tuples of length deg(phi); polynomials over F_q are
-# lists of such tuples, constant term first, no trailing zeros.
+# Polynomials over F_q = F_p[x]/(phi), used for residual polynomials.  An
+# element of F_q is a coefficient list reduced modulo the monic phi, with []
+# as zero; a polynomial over F_q is a list of such elements, constant term
+# first, with no trailing zeros.
 
 
-class _Fq:
-    def __init__(self, p: int, phibar: tuple[int, ...]):
-        self.p = p
-        self.phibar = list(phibar)
-        self.deg = len(phibar) - 1
-        self.q = p**self.deg
-        self.zero = (0,) * self.deg
-        self.one = tuple([1] + [0] * (self.deg - 1)) if self.deg > 0 else ()
-
-    def make(self, coeffs: list[int]) -> tuple[int, ...]:
-        r = _divmod_modp([c % self.p for c in coeffs], self.phibar, self.p)[1]
-        return tuple(r + [0] * (self.deg - len(r)))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return self.make(_mul(list(a), list(b), self.p))
-
-    def inv(self, a):
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, n):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
+def _fq_mul(a: list[int], b: list[int], phi: list[int], p: int) -> list[int]:
+    return _divmod_monic(_mul(a, b, p), phi, p)[1]
 
 
-def _fqp_trim(a: list, ctx: _Fq) -> list:
-    while a and ctx.is_zero(a[-1]):
+def _fqp_trim(a: list) -> list:
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _fqp_sub(a: list, b: list, ctx: _Fq) -> list:
-    n = max(len(a), len(b))
-    out = [ctx.zero] * n
-    for i, x in enumerate(a):
-        out[i] = x
+def _fqp_monic(a: list, phi: list[int], p: int) -> list:
+    inv_lc = _powmod(a[-1], p ** (len(phi) - 1) - 2, phi, p)
+    return [_fq_mul(c, inv_lc, phi, p) for c in a]
+
+
+def _fqp_sub(a: list, b: list, p: int) -> list:
+    out = a + [[]] * (len(b) - len(a))
     for i, y in enumerate(b):
-        out[i] = ctx.sub(out[i], y)
-    return _fqp_trim(out, ctx)
+        out[i] = _sub(out[i], y, p)
+    return _fqp_trim(out)
 
 
-def _fqp_mul(a: list, b: list, ctx: _Fq) -> list:
+def _fqp_mul(a: list, b: list, phi: list[int], p: int) -> list:
     if not a or not b:
         return []
-    out = [ctx.zero] * (len(a) + len(b) - 1)
+    out = [[]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if ctx.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return _fqp_trim(out, ctx)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = _add(out[i + j], _mul(x, y, p), p)
+    return _fqp_trim([_divmod_monic(c, phi, p)[1] for c in out])
 
 
-def _fqp_divmod(a: list, b: list, ctx: _Fq) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial over F_q")
-    inv_lc = ctx.inv(b[-1])
+def _fqp_divmod(a: list, b: list, phi: list[int], p: int) -> tuple[list, list]:
+    """Quotient and remainder by a monic divisor b over F_q."""
     r = list(a)
     db = len(b) - 1
-    q = [ctx.zero] * max(len(a) - db, 0)
-    while len(r) - 1 >= db and r:
-        c = ctx.mul(r[-1], inv_lc)
+    q = [[]] * max(len(a) - db, 0)
+    while len(r) > db:
+        c = r[-1]
         k = len(r) - 1 - db
         q[k] = c
         for j in range(db + 1):
-            r[k + j] = ctx.sub(r[k + j], ctx.mul(c, b[j]))
-        _fqp_trim(r, ctx)
-    return _fqp_trim(q, ctx), r
+            r[k + j] = _sub(r[k + j], _fq_mul(c, b[j], phi, p), p)
+        _fqp_trim(r)
+    return _fqp_trim(q), r
 
 
-def _fqp_gcd(a: list, b: list, ctx: _Fq) -> list:
+def _fqp_gcd(a: list, b: list, phi: list[int], p: int) -> list:
+    """A gcd of a and b over F_q; monic whenever b is nonzero."""
     while b:
-        _, r = _fqp_divmod(a, b, ctx)
-        a, b = b, r
-    if a:
-        inv_lc = ctx.inv(a[-1])
-        a = [ctx.mul(c, inv_lc) for c in a]
+        b = _fqp_monic(b, phi, p)
+        a, b = b, _fqp_divmod(a, b, phi, p)[1]
     return a
 
 
-def _fqp_deriv(a: list, ctx: _Fq) -> list:
-    out = []
-    for i in range(1, len(a)):
-        scalar = ctx.make([i])
-        out.append(ctx.mul(scalar, a[i]))
-    return _fqp_trim(out, ctx)
-
-
-def _fqp_powmod(base: list, exp: int, mod: list, ctx: _Fq) -> list:
-    result = [ctx.one]
-    base = _fqp_divmod(base, mod, ctx)[1]
+def _fqp_powmod(base: list, exp: int, mod: list, phi: list[int], p: int) -> list:
+    result = [[1]]
+    base = _fqp_divmod(base, mod, phi, p)[1]
     while exp:
         if exp & 1:
-            result = _fqp_divmod(_fqp_mul(result, base, ctx), mod, ctx)[1]
-        base = _fqp_divmod(_fqp_mul(base, base, ctx), mod, ctx)[1]
+            result = _fqp_divmod(_fqp_mul(result, base, phi, p), mod, phi, p)[1]
+        base = _fqp_divmod(_fqp_mul(base, base, phi, p), mod, phi, p)[1]
         exp >>= 1
     return result
 
 
-def _fqp_is_separable(a: list, ctx: _Fq) -> bool:
-    return len(_fqp_gcd(list(a), _fqp_deriv(a, ctx), ctx)) == 1
+def _fqp_is_separable(a: list, phi: list[int], p: int) -> bool:
+    deriv = _fqp_trim([_trim([i * c % p for c in x]) for i, x in enumerate(a[1:], 1)])
+    return len(_fqp_gcd(a, deriv, phi, p)) == 1
 
 
-def _fqp_ddf(a: list, ctx: _Fq) -> dict[int, int]:
+def _fqp_ddf(a: list, phi: list[int], p: int) -> dict[int, int]:
     """Degrees of the irreducible factors of a separable polynomial over F_q."""
+    q = p ** (len(phi) - 1)
     counts: dict[int, int] = {}
-    v = list(a)
-    y = [ctx.zero, ctx.one]
-    h = list(y)
+    v = _fqp_monic(a, phi, p)
+    y = [[], [1]]
+    h = y
     d = 0
     while len(v) - 1 > 2 * d:
         d += 1
-        h = _fqp_powmod(h, ctx.q, v, ctx)
-        g = _fqp_gcd(_fqp_sub(h, y, ctx), v, ctx)
+        h = _fqp_powmod(h, q, v, phi, p)
+        g = _fqp_gcd(_fqp_sub(h, y, p), v, phi, p)
         if len(g) > 1:
             counts[d] = (len(g) - 1) // d
-            v = _fqp_divmod(v, g, ctx)[0]
-            h = _fqp_divmod(h, v, ctx)[1]
+            v = _fqp_divmod(v, g, phi, p)[0]
+            h = _fqp_divmod(h, v, phi, p)[1]
     if len(v) > 1:
         deg = len(v) - 1
         counts[deg] = counts.get(deg, 0) + 1
@@ -557,35 +472,28 @@ def _gauss_valuation(a: IntPoly, p: int) -> int | None:
 
 
 def _residual_factor_degrees(
-    a_list: list[IntPoly],
-    vals: list[int | None],
-    hull: list[tuple[int, int]],
-    p: int,
-    ctx: _Fq,
+    a_list: list[IntPoly], vals: list[int | None], phi: list[int], p: int
 ) -> list[tuple[int, int]]:
-    """(e, residual-degree * deg phi) pairs from every side of the principal polygon."""
+    """(e, residual-degree * deg phi) pairs from every side of the principal polygon.
+
+    Each a_j has degree below deg phi, so a_j / p^v reduced mod p is already
+    an element of F_q.
+    """
     pairs: list[tuple[int, int]] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        drop = Fraction(y1 - y2, x2 - x1)
-        e = drop.denominator
-        h = drop.numerator
-        length = x2 - x1
-        d = length // e
-        residual = []
-        for j in range(d + 1):
-            idx = x1 + j * e
-            target = y1 - j * h
-            if vals[idx] == target:
-                scaled = [(c // p**target) % p for c in a_list[idx].coeffs]
-                residual.append(ctx.make(scaled))
-            else:
-                residual.append(ctx.zero)
-        if not _fqp_is_separable(residual, ctx):
+    for x, y, side in _sides(vals):
+        h, e = side.slope.numerator, side.slope.denominator
+        residual = [
+            _trim([c // p ** (y - j * h) % p for c in a_list[x + j * e].coeffs])
+            if vals[x + j * e] == y - j * h
+            else []
+            for j in range(side.length // e + 1)
+        ]
+        if not _fqp_is_separable(residual, phi, p):
             raise _IrregularCase(
                 f"inseparable residual polynomial on the slope {h}/{e} side"
             )
-        for rd, count in _fqp_ddf(residual, ctx).items():
-            pairs.extend([(e, rd * ctx.deg)] * count)
+        for rd, count in _fqp_ddf(residual, phi, p).items():
+            pairs.extend([(e, rd * (len(phi) - 1))] * count)
     return pairs
 
 
@@ -624,9 +532,7 @@ def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
                 raise AssertionError("internal error: phi-multiplicity endpoint must be a unit")
             if any(v == 0 for v in vals[:mult]):
                 raise AssertionError("internal error: interior expansion coefficients must vanish mod p")
-            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not None])
-            ctx = _Fq(p, phibar.coeffs)
-            pairs.extend(_residual_factor_degrees(a_list, vals, hull, p, ctx))
+            pairs.extend(_residual_factor_degrees(a_list, vals, list(phibar.coeffs), p))
     except _IrregularCase as exc:
         return PrimeDecomposition(p, UNDETERMINED, None, METHOD_NEWTON, reason=str(exc))
     return _resolved(p, pairs, METHOD_NEWTON, K.degree)

@@ -193,6 +193,11 @@ def test_degree_cap_exit_code(capsys):
     assert code == 4 and out == "" and "exceeds the cap" in err
     code, out, err = run(capsys, "split", "x^40*x^40", "--prime", "2")
     assert code == 4 and out == "" and "exceeds the cap" in err
+    # past the 4,300 digits that int() converts, and padded past them with zeros
+    code, out, err = run(capsys, "split", "x^" + "9" * 5000, "--prime", "2")
+    assert code == 4 and out == "" and "exceeds the cap" in err
+    padded = run(capsys, "split", "x^" + "0" * 4999 + "3 - 2", "--prime", "5")
+    assert padded[0] == 0 and padded == run(capsys, "split", "x^3 - 2", "--prime", "5")
     code, out, _ = run(capsys, "split", f"x^{MAX_DEGREE} - 2", "--prime", "3")
     assert code == 0 and f"= [K:Q] = {MAX_DEGREE}" in out
 

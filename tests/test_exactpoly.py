@@ -301,9 +301,11 @@ def test_parse_degree_cap():
     assert P(f"x^{MAX_DEGREE} - 2").degree == MAX_DEGREE
     assert P("x^32*x^32").degree == 64 == MAX_DEGREE
     assert P(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}") == IntPoly.zero()
-    for text in (f"x^{MAX_DEGREE + 1}", "x^40*x^40", "x*x^64", "3 + 2*x^1000000000"):
+    for text in (f"x^{MAX_DEGREE + 1}", "x^40*x^40", "x*x^64", "3 + 2*x^1000000000", "x^" + "9" * 5000):
         with pytest.raises(DegreeCapError, match="exceeds the cap"):
             P(text)
+    assert P("x^" + "0" * 4999 + "3") == P("x^3")
+    assert P("x^000") == IntPoly.one()
 
 
 # ---------------------------------------------------------------------------

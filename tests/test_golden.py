@@ -1,8 +1,11 @@
 """Byte-identity of command output over the corpus.
 
-The digests were recorded from the output of the exact-decomposition code
-before the distinct-degree stage moved to a single Frobenius power; any
-change to the factoring kernel must leave them unchanged.
+The spectrum and large-prime digests were recorded from the output of the
+exact-decomposition code before the distinct-degree stage moved to a single
+Frobenius power; any change to the factoring kernel must leave them
+unchanged.  The discriminant-prime digest was recorded before the Newton
+polygon and the F_q residual arithmetic were rewritten; it pins the
+Dedekind-cleared Kummer route and the one-level Newton route.
 """
 
 import contextlib
@@ -11,6 +14,8 @@ import io
 
 from adelic.cli import main
 from adelic.corpus import CORPUS_SPECS
+from adelic.exactpoly import discriminant, parse_int_poly
+from adelic.primes import primes_up_to
 
 # Three primes far beyond any sieve bound: about 10^6, 10^12 and 10^18.
 LARGE_PRIMES = (1000003, 1000000000039, 1000000000000000003)
@@ -39,3 +44,14 @@ def test_split_output_of_every_corpus_field_at_large_primes():
         for p in LARGE_PRIMES
     ]
     assert _digest(argvs) == "d53e2d161ea36c95a551403f6c1f743a58cd27054d9483fd8d9f568f9a8c4bbe"
+
+
+def test_split_output_of_every_corpus_field_at_discriminant_primes():
+    argvs = [
+        ["split", text, "--prime", str(p), "--format", "json"]
+        for _, text in CORPUS_SPECS
+        for p in primes_up_to(50)
+        if discriminant(parse_int_poly(text)) % p == 0
+    ]
+    assert len(argvs) == 34
+    assert _digest(argvs) == "bed228cb46df724d34160bf5a373db192a91fa64776b78adeeed938f8bcf8883"

@@ -1,5 +1,6 @@
 """Tests for prime decomposition: Kummer, Dedekind criterion, Newton polygons."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from adelic import splitting
 from adelic.primes import primes_up_to, valuation
 from adelic.splitting import (
     BadPrimeError,
-    InsufficientPrecisionError,
     NumberField,
     Segment,
     SplittingType,
@@ -205,38 +205,31 @@ def seg(h, e, length):
 
 
 def test_newton_polygon_examples():
-    assert newton_polygon(ModPoly(2**8, (-2, 0, 1)), 2) == [seg(1, 2, 2)]
-    assert newton_polygon(ModPoly(2**8, (-4, 0, 1)), 2) == [seg(1, 1, 2)]
-    assert newton_polygon(ModPoly(2**8, (-2, 0, 0, 1)), 2) == [seg(1, 3, 3)]
+    assert newton_polygon(IntPoly((-2, 0, 1)), 2) == [seg(1, 2, 2)]
+    assert newton_polygon(IntPoly((-4, 0, 1)), 2) == [seg(1, 1, 2)]
+    assert newton_polygon(IntPoly((-2, 0, 0, 1)), 2) == [seg(1, 3, 3)]
 
 
 def test_newton_polygon_multiple_segments():
     # (x - 2)(x - 1) = x^2 - 3x + 2: slopes 1 then 0
-    assert newton_polygon(ModPoly(2**8, (2, -3, 1)), 2) == [seg(1, 1, 1), seg(0, 1, 1)]
+    assert newton_polygon(IntPoly((2, -3, 1)), 2) == [seg(1, 1, 1), seg(0, 1, 1)]
+    # zero coefficients give no point: x^3 + 4x with the constant term missing
+    assert newton_polygon(IntPoly((0, 4, 0, 1)), 2) == [seg(1, 1, 2)]
 
 
 def test_newton_polygon_slopes_strictly_decreasing():
-    for coeffs in [(8, 2, 4, 1), (16, 0, 2, 0, 1), (27, 9, 3, 1)]:
-        p = 3 if coeffs[-1] == 1 and coeffs[0] == 27 else 2
-        segs = newton_polygon(ModPoly(p**9, coeffs), p)
+    for coeffs, p in [((8, 2, 4, 1), 2), ((16, 0, 2, 0, 1), 2), ((27, 9, 3, 1), 3)]:
+        segs = newton_polygon(IntPoly(coeffs), p)
         slopes = [s.slope for s in segs]
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
         assert sum(s.length for s in segs) == len(coeffs) - 1
 
 
-def test_newton_polygon_insufficient_precision():
-    # constant term -4 vanishes mod 2^2, so its valuation cannot be certified
-    with pytest.raises(InsufficientPrecisionError):
-        newton_polygon(ModPoly(2**2, (-4, 0, 1)), 2)
-    # at precision 3 the point (0, 2) is certified
-    assert newton_polygon(ModPoly(2**3, (-4, 0, 1)), 2) == [seg(1, 1, 2)]
-
-
-def test_newton_polygon_rejects_bad_modulus():
+def test_newton_polygon_rejects_zero_polynomial_and_composite_p():
     with pytest.raises(ValueError):
-        newton_polygon(ModPoly(6, (1, 1)), 2)
+        newton_polygon(IntPoly((1, 1)), 6)
     with pytest.raises(ValueError):
-        newton_polygon(ModPoly(8, ()), 2)
+        newton_polygon(IntPoly.zero(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +261,74 @@ def test_ore_undetermined_when_residual_inseparable():
     dec = ore_local_decompose(corpus_field("undetermined-at-2"), 2)
     assert not dec.is_resolved
     assert "inseparable" in dec.reason
+
+
+def _sympy_self_consistent(disc: int, disc_field: int, p: int, ideals) -> bool:
+    """Whether sympy's field discriminant and its primes above p can both hold.
+
+    disc(f) / d_K must be a square and d_K must be 0 or 1 mod 4
+    (Stickelberger); p ramifies iff p | d_K; and when p divides no e, the
+    different gives v_p(d_K) = sum (e - 1) * f.
+    """
+    index_sq, rest = divmod(disc, disc_field)
+    if rest or index_sq < 0 or math.isqrt(index_sq) ** 2 != index_sq or disc_field % 4 > 1:
+        return False
+    v = valuation(disc_field, p) if disc_field % p == 0 else 0
+    if any(P.e > 1 for P in ideals) != (v > 0):
+        return False
+    return any(P.e % p == 0 for P in ideals) or v == sum((P.e - 1) * P.f for P in ideals)
+
+
+def test_ore_residuals_over_fq_against_sympy_prime_decomp():
+    """The Newton route against sympy 1.14 prime_decomp on phi^k + p^m * g.
+
+    phi is irreducible mod p of degree 2 or 3 and g is nonzero mod p of lower
+    degree, so the polygon is one side of slope m/k and, with
+    d = gcd(m, k) >= 2 and p not dividing d, the residual polynomial
+    y^d + (g mod p) is separable of degree d over F_q, q = p^deg(phi).
+    sympy fails on most of these fields and is sometimes wrong, so a field is
+    compared only where sympy is self-consistent.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.basis import round_two
+    from sympy.polys.numberfields.exceptions import ClosureFailure
+    from sympy.polys.numberfields.primes import prime_decomp
+    from adelic.exactpoly import is_irreducible_modp
+
+    x = sympy.symbols("x")
+    rng = random.Random(11)
+    compared = []
+    for _ in range(200):
+        if len(compared) == 8:
+            break
+        p = rng.choice([2, 3, 5])
+        deg_phi, k = rng.choice([(2, 2), (2, 3), (3, 2)])
+        m = rng.choice([m for m in range(2, 9) if math.gcd(m, k) >= 2])
+        if math.gcd(m, k) % p == 0:
+            continue
+        phi = IntPoly([rng.randrange(p) for _ in range(deg_phi)] + [1])
+        if not is_irreducible_modp(phi.reduce_mod(p)):
+            continue
+        g = IntPoly([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg_phi - 1)])
+        f = phi**k + IntPoly((p**m,)) * g
+        T = sympy.Poly(list(reversed(f.coeffs)), x)
+        if not T.is_irreducible:
+            continue
+        dec = ore_local_decompose(NumberField(f), p)
+        assert dec.is_resolved and dec.method == "NewtonPolygon", (f.to_text(), p)
+        try:
+            ZK, disc_field = round_two(T)
+            ideals = prime_decomp(p, T=T, ZK=ZK, dK=disc_field)
+        except (ArithmeticError, AssertionError, ClosureFailure):
+            continue
+        if not _sympy_self_consistent(discriminant(f), int(disc_field), p, ideals):
+            continue
+        assert sorted(dec.factors) == sorted((P.e, P.f) for P in ideals), (f.to_text(), p)
+        compared.append((deg_phi, dec.factors))
+    assert len(compared) >= 6
+    # some residual factors stay irreducible over F_q, some split
+    assert any(f > deg_phi for deg_phi, pairs in compared for _, f in pairs)
+    assert any(f == deg_phi for deg_phi, pairs in compared for _, f in pairs)
 
 
 def test_decompose_dispatcher():
