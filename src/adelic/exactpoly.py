@@ -486,7 +486,12 @@ def parse_int_poly(text: str) -> IntPoly:
     def parse_factor() -> IntPoly:
         tok = take()
         if tok[0] == "int":
-            return IntPoly((int(tok[1]),))
+            try:
+                return IntPoly((int(tok[1]),))
+            except ValueError:  # past the interpreter's int-conversion digit limit
+                raise PolyParseError(
+                    f"coefficient literal of {len(tok[1])} digits is too long", tok[2]
+                ) from None
         if tok[0] == "x":
             if peek() is not None and peek()[0] == "^":
                 take("^")

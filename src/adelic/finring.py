@@ -9,7 +9,9 @@ constructions:
 * ``LocalQuotientRing(p, e, f, eisenstein, s)`` -- the quotient O/pi^s of the
   valuation ring of a local field with ramification index e and residue
   degree f; the totally ramified part is presented by a monic Eisenstein
-  polynomial (not needed when e == 1),
+  polynomial (not needed when e == 1).  An element is one flat list of
+  coefficients, multiplied with exactpoly's univariate kernel by Kronecker
+  substitution,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
 Isomorphism testing rejects fast on order/characteristic/invariant profiles,
@@ -19,7 +21,7 @@ addition and multiplication tables.
 
 from __future__ import annotations
 
-from .exactpoly import IntPoly, irreducible_modp
+from .exactpoly import IntPoly, _divmod_monic, _mul, irreducible_modp
 from .primes import is_prime
 
 __all__ = [
@@ -135,9 +137,11 @@ class LocalQuotientRing(FiniteRing):
     The unramified part is (Z/p^c)[y]/(g) with g a deterministic degree-f
     irreducible lift and c = ceil(s/e); the ramified part adjoins x with a
     monic Eisenstein relation E(x) = 0 of degree e and truncates at x^s.
-    Elements are canonically x-coordinate vectors (c_0, ..., c_{e-1}) where
-    coordinate j is taken modulo p^ceil((s-j)/e); this gives order p^(f*s)
-    and characteristic p^ceil(s/e).
+    An element is one flat list of e*f integers: the coefficient of x^j y^k
+    sits at index j*f + k and is taken modulo p^ceil((s-j)/e).  The code is
+    that list read as mixed-radix digits, index 0 lowest; this gives order
+    p^(f*s) and characteristic p^ceil(s/e).  Multiplication is one exactpoly
+    product by Kronecker substitution, then reduction by g and by E.
     """
 
     def __init__(self, p: int, e: int, f: int, eisenstein: IntPoly | None, s: int):
@@ -158,133 +162,56 @@ class LocalQuotientRing(FiniteRing):
             self.eis = tuple(c % self.pc for c in eisenstein.coeffs)
         else:
             self.eis = None
-        if f > 1:
-            g = irreducible_modp(p, f).lift()
-            self.unram_mod = tuple(c % self.pc for c in g.coeffs)
-        else:
-            self.unram_mod = None
-        # coordinate moduli p^ceil((s-j)/e) for j = 0..e-1
-        self.coord_pow = tuple(p ** (-(-(s - j) // e)) for j in range(e))
+        self.g = [c % self.pc for c in irreducible_modp(p, f).lift().coeffs]
+        # E(z^f), or z^f when unramified: E has scalar coefficients, so
+        # reducing the flat list by it reduces each y-coefficient by E(x).
+        self.modulus = [0] * (e * f + 1)
+        for j, c in enumerate(self.eis or (0, 1)):
+            self.modulus[j * f] = c
+        self.radix = [p ** (-(-(s - j) // e)) for j in range(e) for _ in range(f)]
+        self.place = [1]
+        for m in self.radix[:-1]:
+            self.place.append(self.place[-1] * m)
         self.order = p ** (f * s)
         self.zero = 0
-        self.one = self._encode(self._scalar_poly(1))
+        self.one = self._encode([1])
 
-    # -- base-ring (unramified part) arithmetic: elements are int (f == 1)
-    # or tuples of f ints mod p^c.
-
-    def _base_zero(self):
-        return 0 if self.f == 1 else (0,) * self.f
-
-    def _base_from_int(self, n: int):
-        if self.f == 1:
-            return n % self.pc
-        return tuple([n % self.pc] + [0] * (self.f - 1))
-
-    def _base_add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.pc
-        return tuple((x + y) % self.pc for x, y in zip(a, b))
-
-    def _base_neg(self, a):
-        if self.f == 1:
-            return (-a) % self.pc
-        return tuple((-x) % self.pc for x in a)
-
-    def _base_mul(self, a, b):
-        if self.f == 1:
-            return a * b % self.pc
-        out = [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        # reduce modulo the monic unramified modulus
-        g = self.unram_mod
-        for i in range(len(out) - 1, self.f - 1, -1):
-            c = out[i] % self.pc
-            if c:
-                for j in range(self.f + 1):
-                    out[i - self.f + j] -= c * g[j]
-            out[i] = 0
-        return tuple(v % self.pc for v in out[: self.f])
-
-    def _base_scale_mod(self, a, modulus: int):
-        if self.f == 1:
-            return a % modulus
-        return tuple(x % modulus for x in a)
-
-    # -- x-coordinate vectors: length e, entry j reduced mod coord_pow[j].
-
-    def _scalar_poly(self, n: int):
-        return [self._base_from_int(n)] + [self._base_zero()] * (self.e - 1)
-
-    def _canonical(self, vec):
-        return tuple(self._base_scale_mod(vec[j], self.coord_pow[j]) for j in range(self.e))
-
-    def _encode(self, vec) -> int:
-        vec = self._canonical(vec)
+    def _encode(self, coeffs: list[int]) -> int:
+        # coeffs may be shorter than e*f; missing entries are zero.
         code = 0
-        for j in range(self.e - 1, -1, -1):
-            entry = vec[j]
-            coords = (entry,) if self.f == 1 else entry
-            for x in reversed(coords):
-                code = code * self.coord_pow[j] + x
+        for c, m, w in zip(coeffs, self.radix, self.place):
+            code += c % m * w
         return code
 
-    def _decode(self, code: int):
-        vec = []
-        for j in range(self.e):
-            m = self.coord_pow[j]
-            coords = []
-            for _ in range(self.f):
-                coords.append(code % m)
-                code //= m
-            vec.append(coords[0] if self.f == 1 else tuple(coords))
-        return vec
-
-    def _reduce_by_eisenstein(self, vec):
-        # vec: x-coefficients of length >= e; divide by the monic Eisenstein
-        # relation of degree e, keeping the remainder.
-        out = list(vec)
-        for i in range(len(out) - 1, self.e - 1, -1):
-            c = out[i]
-            if self.f == 1:
-                nonzero = c % self.pc != 0
-            else:
-                nonzero = any(x % self.pc for x in c)
-            if nonzero:
-                for j in range(self.e):
-                    out[i - self.e + j] = self._base_add(
-                        out[i - self.e + j],
-                        self._base_neg(self._base_mul(c, self._base_from_int(self.eis[j]))),
-                    )
-            out[i] = self._base_zero()
-        return out[: self.e]
+    def _decode(self, code: int) -> list[int]:
+        return [code // w % m for m, w in zip(self.radix, self.place)]
 
     def add(self, a, b):
-        va, vb = self._decode(a), self._decode(b)
-        return self._encode([self._base_add(x, y) for x, y in zip(va, vb)])
+        return self._encode([x + y for x, y in zip(self._decode(a), self._decode(b))])
 
     def neg(self, a):
-        return self._encode([self._base_neg(x) for x in self._decode(a)])
+        return self._encode([-x for x in self._decode(a)])
 
     def mul(self, a, b):
         va, vb = self._decode(a), self._decode(b)
-        prod = [self._base_zero()] * (2 * self.e - 1)
-        for i, x in enumerate(va):
-            for j, y in enumerate(vb):
-                prod[i + j] = self._base_add(prod[i + j], self._base_mul(x, y))
-        if self.e > 1:
-            prod = self._reduce_by_eisenstein(prod)
-        return self._encode(prod)
+        f, pc = self.f, self.pc
+        if f == 1:
+            prod = _mul(va, vb, pc)
+        else:
+            # At stride 2f-1 the y-products of different x-powers cannot overlap.
+            w = 2 * f - 1
+            gap = [0] * (f - 1)
+            sa, sb = ([c for i in range(0, len(v), f) for c in v[i : i + f] + gap] for v in (va, vb))
+            wide = _mul(sa, sb, pc)
+            prod = []
+            for i in range(0, len(wide), w):
+                block = _divmod_monic(wide[i : i + w], self.g, pc)[1]
+                prod += block + [0] * (f - len(block))
+        return self._encode(_divmod_monic(prod, self.modulus, pc)[1])
 
     def uniformizer(self) -> int:
         """Code of the uniformizer: x when ramified, p when unramified."""
-        if self.e > 1:
-            vec = [self._base_zero()] * self.e
-            vec[1] = self._base_from_int(1)
-            return self._encode(vec)
-        return self._encode(self._scalar_poly(self.p))
+        return self._encode([0] * self.f + [1] if self.e > 1 else [self.p])
 
     def describe(self) -> str:
         if self.e == 1 and self.s == 1:
@@ -438,11 +365,12 @@ def find_ring_isomorphism(
         return None
     gens = _generating_set(ring1)
     found, derivations = _closure(ring1, gens)
+    index = {x: i for i, x in enumerate(found)}
     candidates = [_candidate_images(ring1, ring2, g) for g in gens]
 
     def assign(idx: int, images: list[int]) -> dict[int, int] | None:
         if idx == len(gens):
-            return _extend_and_verify(ring1, ring2, gens, images, found, derivations)
+            return _extend_and_verify(ring1, ring2, gens, images, found, index, derivations)
         for h in candidates[idx]:
             if h in images:
                 continue
@@ -455,22 +383,18 @@ def find_ring_isomorphism(
 
 
 def _extend_and_verify(
-    ring1, ring2, gens, gen_images, found, derivations
+    ring1, ring2, gens, gen_images, found, index, derivations
 ) -> dict[int, int] | None:
-    """Extend generator images along the derivation list, then check the tables."""
+    """Extend generator images along the derivation list, then check the tables.
+
+    index maps each element of ring1 to its position in found.
+    """
     image = [0] * len(found)
     image[0] = ring2.zero
-    pos = {ring1.zero: 0}
-    idx = 1
     if ring1.one != ring1.zero:
         image[1] = ring2.one
-        pos[ring1.one] = 1
-        idx = 2
     for g, h in zip(gens, gen_images):
-        if g not in pos:
-            image[idx] = h
-            pos[g] = idx
-            idx += 1
+        image[index[g]] = h
     for op, i, j, k in derivations:
         image[k] = getattr(ring2, op)(image[i], image[j])
     if len(set(image)) != len(found):
@@ -479,21 +403,11 @@ def _extend_and_verify(
         fi = image[i]
         for j in range(i + 1):
             fj = image[j]
-            if image[pos_of(found, pos, ring1.add(found[i], found[j]))] != ring2.add(fi, fj):
+            if image[index[ring1.add(found[i], found[j])]] != ring2.add(fi, fj):
                 return None
-            if image[pos_of(found, pos, ring1.mul(found[i], found[j]))] != ring2.mul(fi, fj):
+            if image[index[ring1.mul(found[i], found[j])]] != ring2.mul(fi, fj):
                 return None
     return {found[i]: image[i] for i in range(len(found))}
-
-
-def pos_of(found, pos_cache, element):
-    p = pos_cache.get(element)
-    if p is None:
-        # Build the full index on first miss (elements discovered by derivations).
-        for i, e in enumerate(found):
-            pos_cache[e] = i
-        p = pos_cache[element]
-    return p
 
 
 def finite_ring_isomorphic(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..finring import FiniteRing, find_ring_isomorphism
-from .family import MAX_INDEX_SET, FiniteFamily
+from .family import MAX_INDEX_SET, MAX_STALK_ORDER, FiniteFamily
 from .formulas import (
     And,
     BConst,
@@ -40,8 +40,10 @@ from .formulas import (
     RVar,
     RingTerm,
     boole_arity,
+    boole_free_vars,
     quantifier_depth,
     ring_arity,
+    ring_free_vars,
 )
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 MAX_QUANTIFIER_DEPTH = 4
-MAX_STALK_ORDER_EVAL = 2**12
 MAX_PRESERVATION_STALK = 64
 
 
@@ -145,8 +146,8 @@ def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
     assignment maps free w-indices to element codes (a sequence or a dict);
     quantifiers range over every stalk element.
     """
-    if stalk.order > MAX_STALK_ORDER_EVAL:
-        raise EvalCapError(f"stalk order {stalk.order} exceeds {MAX_STALK_ORDER_EVAL}")
+    if stalk.order > MAX_STALK_ORDER:
+        raise EvalCapError(f"stalk order {stalk.order} exceeds {MAX_STALK_ORDER}")
     if quantifier_depth(theta) > MAX_QUANTIFIER_DEPTH:
         raise EvalCapError(f"quantifier depth exceeds {MAX_QUANTIFIER_DEPTH}")
     for code in _assignment_codes(theta, assignment):
@@ -156,8 +157,6 @@ def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
 
 
 def _assignment_codes(theta, assignment):
-    from .formulas import ring_free_vars
-
     codes = []
     for idx in ring_free_vars(theta):
         try:
@@ -243,8 +242,6 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
     if len(universe) > MAX_INDEX_SET:
         raise EvalCapError(f"index set larger than {MAX_INDEX_SET} is not supported")
     env = {}
-    from .formulas import boole_free_vars
-
     for idx in boole_free_vars(psi):
         try:
             value = assignment[idx]

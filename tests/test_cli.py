@@ -43,6 +43,9 @@ def test_split_undetermined_exit_code(capsys):
 def test_split_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "split", "x^2 - y", "--prime", "7")
     assert code == 2 and "error" in err
+    # a coefficient past the 4,300 digits that int() converts
+    code, out, err = run(capsys, "split", "x^2 - " + "7" * 5000, "--prime", "2")
+    assert code == 2 and out == "" and "position 6" in err
 
 
 def test_split_composite_prime_rejected(capsys):

@@ -242,6 +242,10 @@ def test_parse_rejects_bad_input():
         P("")
     with pytest.raises(PolyParseError):
         P("x +")
+    # past the 4,300 digits that int() converts: refused at the literal
+    with pytest.raises(PolyParseError, match="5000 digits") as info:
+        P("x^2 - " + "7" * 5000)
+    assert info.value.position == 6
 
 
 def test_text_round_trip():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adelic.exactpoly import parse_int_poly
+from adelic.exactpoly import IntPoly, irreducible_modp, parse_int_poly
 from adelic.finring import (
     LocalQuotientRing,
     PermutedRing,
@@ -219,3 +219,148 @@ def test_find_isomorphism_returns_valid_map():
             assert iso[r1.add(a, b)] == r2.add(iso[a], iso[b])
             assert iso[r1.mul(a, b)] == r2.mul(iso[a], iso[b])
     assert sorted(iso.values()) == list(r2.elements())
+
+
+# ---------------------------------------------------------------------------
+# Slow-path oracle: the element arithmetic as it was before the ring moved to
+# flat coefficient lists, with x-coordinates over (Z/p^c)[y]/(g) held as ints
+# (f == 1) or tuples of f ints.
+
+
+class ReferenceLocalQuotientRing:
+    def __init__(self, p, e, f, eisenstein, s):
+        self.p, self.e, self.f, self.s = p, e, f, s
+        self.c = -(-s // e)
+        self.pc = p**self.c
+        self.eis = tuple(c % self.pc for c in eisenstein.coeffs) if e > 1 else None
+        if f > 1:
+            g = irreducible_modp(p, f).lift()
+            self.unram_mod = tuple(c % self.pc for c in g.coeffs)
+        self.coord_pow = tuple(p ** (-(-(s - j) // e)) for j in range(e))
+        self.order = p ** (f * s)
+        self.one = self._encode(self._scalar_poly(1))
+
+    def _base_zero(self):
+        return 0 if self.f == 1 else (0,) * self.f
+
+    def _base_from_int(self, n):
+        if self.f == 1:
+            return n % self.pc
+        return tuple([n % self.pc] + [0] * (self.f - 1))
+
+    def _base_add(self, a, b):
+        if self.f == 1:
+            return (a + b) % self.pc
+        return tuple((x + y) % self.pc for x, y in zip(a, b))
+
+    def _base_neg(self, a):
+        if self.f == 1:
+            return (-a) % self.pc
+        return tuple((-x) % self.pc for x in a)
+
+    def _base_mul(self, a, b):
+        if self.f == 1:
+            return a * b % self.pc
+        out = [0] * (2 * self.f - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        g = self.unram_mod
+        for i in range(len(out) - 1, self.f - 1, -1):
+            c = out[i] % self.pc
+            for j in range(self.f + 1):
+                out[i - self.f + j] -= c * g[j]
+            out[i] = 0
+        return tuple(v % self.pc for v in out[: self.f])
+
+    def _scalar_poly(self, n):
+        return [self._base_from_int(n)] + [self._base_zero()] * (self.e - 1)
+
+    def _encode(self, vec):
+        code = 0
+        for j in range(self.e - 1, -1, -1):
+            entry = vec[j]
+            coords = (entry,) if self.f == 1 else entry
+            for x in reversed(coords):
+                code = code * self.coord_pow[j] + x % self.coord_pow[j]
+        return code
+
+    def _decode(self, code):
+        vec = []
+        for j in range(self.e):
+            m = self.coord_pow[j]
+            coords = []
+            for _ in range(self.f):
+                coords.append(code % m)
+                code //= m
+            vec.append(coords[0] if self.f == 1 else tuple(coords))
+        return vec
+
+    def add(self, a, b):
+        va, vb = self._decode(a), self._decode(b)
+        return self._encode([self._base_add(x, y) for x, y in zip(va, vb)])
+
+    def neg(self, a):
+        return self._encode([self._base_neg(x) for x in self._decode(a)])
+
+    def mul(self, a, b):
+        va, vb = self._decode(a), self._decode(b)
+        prod = [self._base_zero()] * (2 * self.e - 1)
+        for i, x in enumerate(va):
+            for j, y in enumerate(vb):
+                prod[i + j] = self._base_add(prod[i + j], self._base_mul(x, y))
+        for i in range(len(prod) - 1, self.e - 1, -1):
+            c = prod[i]
+            for j in range(self.e):
+                prod[i - self.e + j] = self._base_add(
+                    prod[i - self.e + j],
+                    self._base_neg(self._base_mul(c, self._base_from_int(self.eis[j]))),
+                )
+        return self._encode(prod[: self.e])
+
+    def uniformizer(self):
+        if self.e > 1:
+            vec = [self._base_zero()] * self.e
+            vec[1] = self._base_from_int(1)
+            return self._encode(vec)
+        return self._encode(self._scalar_poly(self.p))
+
+
+def oracle_shapes():
+    """(p, e, f, E, s) for p <= 7, e <= 4, f <= 3, s <= 6 and order <= 729,
+    with a seeded Eisenstein polynomial E for each (p, e) when e > 1."""
+    rng = random.Random(2024)
+    for p in (2, 3, 5, 7):
+        for e in range(1, 5):
+            eis = None
+            if e > 1:
+                # constant term p*u with p not dividing u; the rest divisible by p
+                u = rng.randrange(1, p * p)
+                while u % p == 0:
+                    u = rng.randrange(1, p * p)
+                eis = IntPoly([p * u] + [p * rng.randrange(-p, p + 1) for _ in range(e - 1)] + [1])
+            for f in range(1, 4):
+                for s in range(1, 7):
+                    if p ** (f * s) <= 729:
+                        yield p, e, f, eis, s
+
+
+def test_local_quotient_ring_codes_match_reference_arithmetic():
+    shapes = list(oracle_shapes())
+    assert len(shapes) == 144
+    rng = random.Random(5)
+    for p, e, f, eis, s in shapes:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        ref = ReferenceLocalQuotientRing(p, e, f, eis, s)
+        assert ring.order == ref.order
+        assert (ring.one, ring.uniformizer()) == (ref.one, ref.uniformizer())
+        els = range(ring.order)
+        assert [ring.neg(a) for a in els] == [ref.neg(a) for a in els]
+        if ring.order <= 64:
+            # both operations are commutative in the reference
+            pairs = [(a, b) for a in els for b in range(a + 1)]
+        else:
+            pairs = [(rng.randrange(ring.order), rng.randrange(ring.order)) for _ in range(250)]
+        for a, b in pairs:
+            assert ring.add(a, b) == ref.add(a, b), (p, e, f, s, a, b)
+            assert ring.mul(a, b) == ref.mul(a, b), (p, e, f, s, a, b)

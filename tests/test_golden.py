@@ -5,12 +5,17 @@ exact-decomposition code before the distinct-degree stage moved to a single
 Frobenius power; any change to the factoring kernel must leave them
 unchanged.  The discriminant-prime digest was recorded before the Newton
 polygon and the F_q residual arithmetic were rewritten; it pins the
-Dedekind-cleared Kummer route and the one-level Newton route.
+Dedekind-cleared Kummer route and the one-level Newton route.  The fv-eval
+and adele-iso digests were recorded before the residue rings moved to flat
+coefficient lists; they pin the element codes of every stalk kind and the
+ramified residue-ring certificates.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import random
 
 from adelic.cli import main
 from adelic.corpus import CORPUS_SPECS
@@ -55,3 +60,74 @@ def test_split_output_of_every_corpus_field_at_discriminant_primes():
     ]
     assert len(argvs) == 34
     assert _digest(argvs) == "bed228cb46df724d34160bf5a373db192a91fa64776b78adeeed938f8bcf8883"
+
+
+# Stalks of every LocalQuotientRing shape (GF with f <= 3, Unramified with
+# s >= 2, Eisenstein with f = 1 and f = 2) next to a Zmod stalk.
+FV_FAMILY = {
+    "index": ["z", "g8", "g9", "g25", "u", "u27", "e", "e3", "ef", "ef3"],
+    "stalks": {
+        "z": {"kind": "Zmod", "m": 12},
+        "g8": {"kind": "GF", "p": 2, "f": 3},
+        "g9": {"kind": "GF", "p": 3, "f": 2},
+        "g25": {"kind": "GF", "p": 5, "f": 2},
+        "u": {"kind": "Unramified", "p": 2, "f": 2, "s": 3},
+        "u27": {"kind": "Unramified", "p": 3, "f": 1, "s": 3},
+        "e": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 5, "coeffs": [-2, 0, 1]},
+        "e3": {"kind": "Eisenstein", "p": 3, "e": 3, "s": 4, "coeffs": [3, 0, 0, 1]},
+        "ef": {"kind": "Eisenstein", "p": 2, "e": 2, "f": 2, "s": 3, "coeffs": [2, 2, 1]},
+        "ef3": {"kind": "Eisenstein", "p": 3, "e": 2, "f": 2, "s": 2, "coeffs": [3, 0, 1]},
+    },
+}
+FV_ORDERS = {"z": 12, "g8": 8, "g9": 9, "g25": 25, "u": 64, "u27": 27, "e": 32, "e3": 81, "ef": 64, "ef3": 81}
+
+# Each holds when every free variable is 0, so with zeros at the other
+# stalks [[theta]] is the whole index set exactly when theta holds at the
+# one stalk that gets non-zero codes.
+FV_THETAS = (
+    "exists y (y * w0 = w1 + w2)",
+    "exists y (y * y = w0 + w1)",
+    "exists y (y * y * y = w0 * w1)",
+    "exists y (y + y = w0 * w1 + w2)",
+    "forall y (y * w0 = 0 -> y * w1 = 0)",
+)
+
+
+def test_fv_eval_output_pins_element_codes(tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FV_FAMILY))
+    rng = random.Random(12)
+    argvs = []
+    for target in FV_FAMILY["index"]:
+        for _ in range(5):
+            codes = [rng.randrange(1, FV_ORDERS[target]) for _ in range(3)]
+            elements = [
+                {label: code if label == target else 0 for label in FV_FAMILY["index"]}
+                for code in codes
+            ]
+            for theta in FV_THETAS:
+                argvs.append(
+                    ["fv-eval", "--family", str(family), "--psi", "v0 = 1", "--theta", theta,
+                     "--elements", json.dumps(elements), "--format", "json"]
+                )
+    assert len(argvs) == 250
+    assert _digest(argvs) == "913b924127aa7370bae6cb60ecdea2b8bb0e3d9a6aa368db1cc3a86f945b4b25"
+
+
+# Presentation pairs (f, f(x+t)) whose residue rings have order <= 121, so
+# every ramified prime is matched by the eisenstein-residue-ring certificate.
+ADELE_PRESENTATION_PAIRS = (
+    ("x^2-2", "x^2+4*x+2"),
+    ("x^2-3", "x^2+2*x-2"),
+    ("x^2+1", "x^2+2*x+2"),
+    ("x^2-5", "x^2+2*x-4"),
+    ("x^2+3", "x^2+2*x+4"),
+    ("x^2-6", "x^2+2*x-5"),
+    ("x^2-7", "x^2+2*x-6"),
+    ("x^2-11", "x^2+2*x-10"),
+)
+
+
+def test_adele_iso_output_of_presentation_pairs():
+    argvs = [["adele-iso", f, g, "--format", "json"] for f, g in ADELE_PRESENTATION_PAIRS]
+    assert _digest(argvs) == "52a7f4c6e3f06ff42de7582fb9d380829af9cef4f5a670f3b5aac39a89fd50fe"
