@@ -18,31 +18,9 @@ import json
 import os
 import sys
 
-from .corpus import corpus_fields
-from .exactpoly import DegreeCapError, PolyParseError
-from .finring import DEFAULT_RING_ORDER_CAP, RingCapExceededError
-from .fv import (
-    ArityMismatchError,
-    EvalCapError,
-    FormulaSyntaxError,
-    GeneralizedSentence,
-    family_from_json,
-    gen_product_eval,
-    parse_boole_formula,
-    parse_ring_formula,
-)
-from .invariants import (
-    DEFAULT_PRIME_BOUND,
-    UnresolvedPrimeError,
-    adele_iso_verdict,
-    aq_distinguisher,
-    arithmetic_equiv,
-    degree_via_split_prime,
-    signature,
-    spectrum,
-)
-from .primes import PrimalityCapError, PrimeBoundCapError, is_prime
-from .splitting import NumberField, UndeterminedError, decompose
+# Each layer is imported by the command that runs it, so a cold start pays
+# only for the layers its command needs.
+from .primes import DEFAULT_PRIME_BOUND
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -50,21 +28,62 @@ EXIT_UNDETERMINED = 3
 EXIT_CAP = 4
 EXIT_OTHER = 5
 
+# Exit code of each library error, keyed by "module.class" so that main needs
+# none of the layers to map them; main walks the exception's MRO, and any
+# other ValueError exits EXIT_OTHER.
+_EXIT_CODES = {
+    "adelic.exactpoly.PolyParseError": EXIT_PARSE,
+    "adelic.fv.formulas.FormulaSyntaxError": EXIT_PARSE,
+    "adelic.fv.evaluate.ArityMismatchError": EXIT_PARSE,
+    "adelic.splitting.UndeterminedError": EXIT_UNDETERMINED,
+    "adelic.invariants.UnresolvedPrimeError": EXIT_UNDETERMINED,
+    "adelic.exactpoly.DegreeCapError": EXIT_CAP,
+    "adelic.primes.PrimalityCapError": EXIT_CAP,
+    "adelic.primes.PrimeBoundCapError": EXIT_CAP,
+    "adelic.finring.RingCapExceededError": EXIT_CAP,
+    "adelic.fv.evaluate.EvalCapError": EXIT_CAP,
+}
 
-class _CliError(Exception):
+# An inline field argument longer than this is quoted only around the error.
+_QUOTE_WIDTH = 60
+
+
+class _CliError(ValueError):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
 
-def _load_field(arg: str) -> NumberField:
+def _exit_code(exc: ValueError) -> int:
+    """The exit code main gives exc."""
+    if isinstance(exc, _CliError):
+        return exc.code
+    for cls in type(exc).__mro__:
+        code = _EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+        if code is not None:
+            return code
+    return EXIT_OTHER
+
+
+def _quote(arg: str, position: int) -> str:
+    """repr of arg, cut to a window around position if arg is long."""
+    if len(arg) <= _QUOTE_WIDTH:
+        return repr(arg)
+    lo = max(0, position - _QUOTE_WIDTH // 2)
+    hi = lo + _QUOTE_WIDTH
+    return ("..." if lo else "") + repr(arg[lo:hi]) + ("..." if hi < len(arg) else "")
+
+
+def _load_field(arg: str):
     """A field argument is a file path or an inline polynomial."""
+    from .exactpoly import DegreeCapError
+    from .splitting import NumberField
+
     label = None
     poly_text = arg
-    where = repr(arg)
-    if os.path.exists(arg):
+    from_file = os.path.exists(arg)
+    if from_file:
         poly_text = None
-        where = arg
         with open(arg, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
@@ -82,6 +101,7 @@ def _load_field(arg: str) -> NumberField:
     except DegreeCapError:
         raise
     except ValueError as exc:
+        where = arg if from_file else _quote(arg, getattr(exc, "position", 0))
         raise _CliError(f"{where}: {exc}", EXIT_PARSE) from exc
 
 
@@ -94,6 +114,9 @@ def _emit(args, text_lines, json_obj) -> None:
 
 
 def _cmd_split(args) -> int:
+    from .primes import is_prime
+    from .splitting import decompose
+
     K = _load_field(args.field)
     if not is_prime(args.prime):
         raise _CliError(f"{args.prime} is not prime", EXIT_PARSE)
@@ -122,6 +145,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .invariants import spectrum
+
     K = _load_field(args.field)
     spec = spectrum(K, args.bound)
     lines = [f"splitting spectrum of {K.name()} up to {args.bound}:"]
@@ -140,6 +165,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import aq_distinguisher, degree_via_split_prime, signature
+
     K = _load_field(args.field)
     sig = signature(K)
     detect = degree_via_split_prime(K, args.bound)
@@ -169,6 +196,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .invariants import arithmetic_equiv
+
     K = _load_field(args.field1)
     L = _load_field(args.field2)
     verdict = arithmetic_equiv(K, L, args.bound)
@@ -188,9 +217,13 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_adele_iso(args) -> int:
+    from .finring import DEFAULT_RING_ORDER_CAP
+    from .invariants import adele_iso_verdict
+
     K = _load_field(args.field1)
     L = _load_field(args.field2)
-    verdict = adele_iso_verdict(K, L, args.bound, ring_cap=args.ring_cap)
+    ring_cap = DEFAULT_RING_ORDER_CAP if args.ring_cap is None else args.ring_cap
+    verdict = adele_iso_verdict(K, L, args.bound, ring_cap=ring_cap)
     lines = [f"{verdict.kind}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
@@ -209,7 +242,37 @@ def _cmd_adele_iso(args) -> int:
     return EXIT_OK
 
 
+def _parse_elements(text: str, family) -> tuple[dict, ...]:
+    """--elements: a JSON list of objects, each mapping every index label to
+    an element code of that label's stalk."""
+    try:
+        elements = json.loads(text)
+    except ValueError as exc:
+        raise _CliError(f"--elements is not JSON: {exc}", EXIT_PARSE) from exc
+    if not isinstance(elements, list) or not all(isinstance(f, dict) for f in elements):
+        raise _CliError("--elements must be a JSON list of label -> code objects", EXIT_PARSE)
+    for j, f in enumerate(elements):
+        for i in family.index_set:
+            if i not in f:
+                raise _CliError(f"--elements[{j}] has no code for label {i!r}", EXIT_PARSE)
+            code, order = f[i], family.stalks[i].order
+            if type(code) is not int or not 0 <= code < order:
+                raise _CliError(
+                    f"--elements[{j}][{i!r}] is {code!r}, not a code in 0..{order - 1}",
+                    EXIT_PARSE,
+                )
+    return tuple(elements)
+
+
 def _cmd_fv_eval(args) -> int:
+    from .fv import (
+        GeneralizedSentence,
+        family_from_json,
+        gen_product_eval,
+        parse_boole_formula,
+        parse_ring_formula,
+    )
+
     try:
         with open(args.family, "r", encoding="utf-8") as fh:
             family = family_from_json(fh.read())
@@ -221,7 +284,7 @@ def _cmd_fv_eval(args) -> int:
     thetas = [parse_ring_formula(t) for t in args.theta]
     sentence = GeneralizedSentence(psi, thetas)
     if args.elements is not None:
-        elements = tuple(json.loads(args.elements))
+        elements = _parse_elements(args.elements, family)
     else:
         k = sentence.theta_arity()
         elements = tuple({i: family.stalks[i].zero for i in family.index_set} for _ in range(k))
@@ -239,7 +302,19 @@ def _cmd_corpus(args) -> int:
 
 def run_corpus_checks() -> tuple[list[str], bool]:
     """Golden self-check over the built-in corpus; deterministic output."""
+    from .corpus import corpus_fields
+    from .exactpoly import parse_int_poly
+    from .finring import LocalQuotientRing, ZmodRing, finite_ring_isomorphic
+    from .fv import (
+        FiniteFamily,
+        GeneralizedSentence,
+        gen_product_eval,
+        parse_boole_formula,
+        parse_ring_formula,
+    )
+    from .invariants import adele_iso_verdict, arithmetic_equiv, keating_bound, signature
     from .primes import primes_up_to
+    from .splitting import decompose
 
     lines = []
     all_ok = True
@@ -276,8 +351,6 @@ def run_corpus_checks() -> tuple[list[str], bool]:
                 ok = False
     check("good primes are unramified", ok)
 
-    from .invariants import keating_bound
-
     check(
         "truncation levels",
         keating_bound(3, 1) == 2 and keating_bound(2, 2) == 5 and keating_bound(2, 1) == 2,
@@ -310,9 +383,6 @@ def run_corpus_checks() -> tuple[list[str], bool]:
     v = adele_iso_verdict(K2, K2, 100)
     check("reflexive adele verdict is certified", v.kind == "IsomorphicCertified")
 
-    from .finring import LocalQuotientRing, ZmodRing, finite_ring_isomorphic
-    from .exactpoly import parse_int_poly
-
     z4 = ZmodRing(4)
     f4 = LocalQuotientRing(2, 1, 2, None, 1)
     f2t = LocalQuotientRing(2, 2, 1, parse_int_poly("x^2 - 2"), 2)
@@ -322,8 +392,6 @@ def run_corpus_checks() -> tuple[list[str], bool]:
         and not finite_ring_isomorphic(z4, f2t)
         and not finite_ring_isomorphic(f4, f2t),
     )
-
-    from .fv import FiniteFamily, GeneralizedSentence, gen_product_eval, parse_boole_formula, parse_ring_formula
 
     family = FiniteFamily(
         ("a", "b", "c"), {"a": ZmodRing(2), "b": ZmodRing(3), "c": ZmodRing(5)}
@@ -389,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field1")
     p.add_argument("field2")
     p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--ring-cap", type=int, default=DEFAULT_RING_ORDER_CAP,
+    p.add_argument("--ring-cap", type=int, default=None,
                    help="largest residue-ring order the certifier will enumerate")
     common(p)
     p.set_defaults(func=_cmd_adele_iso)
@@ -419,27 +487,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PolyParseError, FormulaSyntaxError, ArityMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (
-        EvalCapError,
-        RingCapExceededError,
-        PrimalityCapError,
-        PrimeBoundCapError,
-        DegreeCapError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (UndeterminedError, UnresolvedPrimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

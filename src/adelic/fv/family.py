@@ -74,6 +74,13 @@ def family_from_json(doc: str | dict) -> FiniteFamily:
     data = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(data, dict) or "index" not in data or "stalks" not in data:
         raise ValueError('family document needs "index" and "stalks" entries')
-    index = [str(i) for i in data["index"]]
-    stalks = {str(k): stalk_from_spec(v) for k, v in data["stalks"].items()}
+    index, specs = data["index"], data["stalks"]
+    if not isinstance(index, list) or not all(isinstance(i, str) for i in index):
+        raise ValueError('"index" must be a list of label strings')
+    if not isinstance(specs, dict) or not all(isinstance(v, dict) for v in specs.values()):
+        raise ValueError('"stalks" must map each label to a stalk object')
+    try:
+        stalks = {str(k): stalk_from_spec(v) for k, v in specs.items()}
+    except TypeError as exc:  # a stalk field of the wrong JSON type, e.g. "m": [4]
+        raise ValueError(f"bad stalk field: {exc}") from exc
     return FiniteFamily(index, stalks)

@@ -26,7 +26,7 @@ from .finring import (
     finite_ring_isomorphic,
     _is_eisenstein_at,
 )
-from .primes import is_prime, primes_up_to, valuation
+from .primes import DEFAULT_PRIME_BOUND, is_prime, primes_up_to, valuation
 from .splitting import (
     NumberField,
     SplittingType,
@@ -60,8 +60,6 @@ __all__ = [
     "adele_iso_verdict",
     "eisenstein_presentation",
 ]
-
-DEFAULT_PRIME_BOUND = 1000
 
 
 class UnresolvedPrimeError(ValueError):

@@ -17,6 +17,9 @@ PROVEN_PRIMALITY_BOUND = _PSI[-1]
 # Largest bound primes_up_to sieves; see the README for how it was sized.
 MAX_PRIME_BOUND = 10**6
 
+# Bound of the prime sweeps (spectrum, verdicts) when the caller gives none.
+DEFAULT_PRIME_BOUND = 1000
+
 
 class PrimalityCapError(ValueError):
     """Raised when n >= PROVEN_PRIMALITY_BOUND passes every witness, so that

@@ -1,10 +1,22 @@
 """End-to-end tests of the command-line driver."""
 
+import importlib
 import json
 import random
 import time
 
-from adelic.cli import main
+import pytest
+
+from adelic.cli import (
+    _EXIT_CODES,
+    EXIT_CAP,
+    EXIT_OTHER,
+    EXIT_PARSE,
+    EXIT_UNDETERMINED,
+    _CliError,
+    _exit_code,
+    main,
+)
 from adelic.exactpoly import MAX_DEGREE, IntPoly
 from adelic.primes import MAX_PRIME_BOUND, PROVEN_PRIMALITY_BOUND, primes_up_to
 
@@ -46,6 +58,7 @@ def test_split_parse_error_exit_code(capsys):
     # a coefficient past the 4,300 digits that int() converts
     code, out, err = run(capsys, "split", "x^2 - " + "7" * 5000, "--prime", "2")
     assert code == 2 and out == "" and "position 6" in err
+    assert len(err.encode()) < 300 and err.startswith("error: 'x^2 - 777")
 
 
 def test_split_composite_prime_rejected(capsys):
@@ -170,6 +183,67 @@ def test_fv_eval_parse_error(tmp_path, capsys):
     fam.write_text('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": 2}}}')
     code, _, err = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 == 1", "--theta", "w0 = w0")
     assert code == 2
+
+
+FV_FAMILY = '{"index": ["a", "b"], "stalks": {"a": {"kind": "Zmod", "m": 12}, "b": {"kind": "Zmod", "m": 2}}}'
+
+
+@pytest.mark.parametrize(
+    "family, elements",
+    [
+        ('{"index": 5, "stalks": {}}', None),
+        ('{"index": ["a"], "stalks": {"a": 5}}', None),
+        ('{"index": [1], "stalks": {"1": {"kind": "Zmod", "m": 2}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": [4]}}}', None),
+        (FV_FAMILY, "not json"),
+        (FV_FAMILY, '[{"a": 1}]'),
+        (FV_FAMILY, '{"a": 1, "b": 1}'),
+        (FV_FAMILY, "[5]"),
+        (FV_FAMILY, '[{"a": 99, "b": 1}]'),
+        (FV_FAMILY, '[{"a": -1, "b": 1}]'),
+        (FV_FAMILY, '[{"a": "1", "b": 1}]'),
+        (FV_FAMILY, '[{"a": 1.0, "b": 1}]'),
+        (FV_FAMILY, '[{"a": true, "b": 1}]'),
+    ],
+)
+def test_fv_eval_input_errors(tmp_path, capsys, family, elements):
+    fam = tmp_path / "family.json"
+    fam.write_text(family)
+    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0"]
+    if elements is not None:
+        argv += ["--elements", elements]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def _error_class(qualname: str) -> type:
+    module, _, name = qualname.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
+def test_exit_code_table():
+    for qualname in _EXIT_CODES:
+        cls = _error_class(qualname)
+        assert isinstance(cls, type) and issubclass(cls, ValueError), qualname
+    kept = {
+        "adelic.exactpoly.PolyParseError": EXIT_PARSE,
+        "adelic.fv.FormulaSyntaxError": EXIT_PARSE,
+        "adelic.fv.ArityMismatchError": EXIT_PARSE,
+        "adelic.splitting.UndeterminedError": EXIT_UNDETERMINED,
+        "adelic.invariants.UnresolvedPrimeError": EXIT_UNDETERMINED,
+        "adelic.fv.EvalCapError": EXIT_CAP,
+        "adelic.finring.RingCapExceededError": EXIT_CAP,
+        "adelic.primes.PrimalityCapError": EXIT_CAP,
+        "adelic.primes.PrimeBoundCapError": EXIT_CAP,
+        "adelic.exactpoly.DegreeCapError": EXIT_CAP,
+    }
+    for qualname, code in kept.items():
+        cls = _error_class(qualname)
+        assert _exit_code(cls.__new__(cls)) == code, qualname
+        subclass = type("Sub", (cls,), {})
+        assert _exit_code(subclass.__new__(subclass)) == code, qualname
+    assert _exit_code(ValueError("plain")) == EXIT_OTHER
+    assert _exit_code(_CliError("own code", 7)) == 7
 
 
 def test_corpus_flag_runs(capsys):
