@@ -754,22 +754,15 @@ def factor_modp(a: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]
 
 
 def is_irreducible_modp(a: ModPoly) -> bool:
-    """Rabin irreducibility test over Z/p for a monic polynomial."""
+    """Irreducibility over Z/p: squarefree, and the distinct-degree stage
+    finds no factor of degree below the degree of a."""
     p = a.modulus
     _require_prime(p)
     n = a.degree
     if n < 1:
         return False
     f = list(a.monic().coeffs)
-    x_red = _divmod_modp([0, 1], f, p)[1]
-    h = _powmod([0, 1], p**n, f, p)
-    if _trim(_sub(h, x_red, p)):
-        return False
-    for ell in {q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}:
-        h = _powmod([0, 1], p ** (n // ell), f, p)
-        if len(_gcd_modp(_sub(h, x_red, p), f, p)) != 1:
-            return False
-    return True
+    return _is_squarefree_modp(f, p) and next(_distinct_degree_parts(f, p))[0] == n
 
 
 def irreducible_modp(p: int, d: int) -> ModPoly:

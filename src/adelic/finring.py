@@ -15,11 +15,15 @@ constructions:
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
 Isomorphism testing rejects fast on order/characteristic/invariant profiles,
-then runs a backtracking search mapping a generating set while respecting the
-addition and multiplication tables.
+then tries images for a greedy generating set of the first ring.  An
+assignment is accepted when the subring of R1 x R2 generated by (0, 0),
+(1, 1) and the (generator, image) pairs is the graph of a bijection: being
+closed under add and mul, that graph is a ring isomorphism.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .exactpoly import IntPoly, _divmod_monic, _mul, irreducible_modp
 from .primes import is_prime
@@ -288,48 +292,75 @@ def _invariant_profile(ring: FiniteRing, full: bool) -> tuple:
     return (ring.order, char, tuple(sorted(add_orders.items())), idem, nilp, units)
 
 
-def _generating_set(ring: FiniteRing) -> list[int]:
-    """Small generating set (as a unital ring) found greedily."""
-    gens: list[int] = []
-    closure = set(_closure(ring, gens)[0])
-    for a in ring.elements():
-        if len(closure) == ring.order:
-            break
-        if a in closure:
-            continue
-        gens.append(a)
-        closure = set(_closure(ring, gens)[0])
-    return gens
+def _generators(ring: FiniteRing) -> list[int]:
+    """Small generating set (as a unital ring) found greedily.
 
-
-def _closure(ring: FiniteRing, gens: list[int]) -> tuple[list[int], list[tuple]]:
-    """Closure of {0, 1} + gens under add/mul, with defining derivations.
-
-    Returns the closure in discovery order plus one derivation
-    (op, i, j, result) per element first produced by an operation, where i, j
-    index earlier elements of the discovery list.  Both operations are
-    commutative, so unordered pairs are enumerated once.
+    One closure of {0, 1} grows under add and mul; each time it stops
+    growing, the least code not yet reached becomes the next generator.
+    Both operations are commutative, so unordered pairs are enumerated once.
     """
     found = [ring.zero]
     if ring.one != ring.zero:
         found.append(ring.one)
     seen = set(found)
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            found.append(g)
-    derivations: list[tuple] = []
+    gens: list[int] = []
+    least = 0
     i = 0
-    while i < len(found):
-        for j in range(i + 1):
-            for op in ("add", "mul"):
-                r = getattr(ring, op)(found[i], found[j])
+    while len(found) < ring.order:
+        if i == len(found):
+            while least in seen:
+                least += 1
+            gens.append(least)
+            seen.add(least)
+            found.append(least)
+        a = found[i]
+        for b in found[: i + 1]:
+            for r in (ring.add(a, b), ring.mul(a, b)):
                 if r not in seen:
                     seen.add(r)
                     found.append(r)
-                    derivations.append((op, i, j, len(found) - 1))
+                    if len(found) == ring.order:
+                        return gens
         i += 1
-    return found, derivations
+    return gens
+
+
+def _graph(
+    ring1: FiniteRing, ring2: FiniteRing, gens: list[int], images: tuple[int, ...]
+) -> dict[int, int] | None:
+    """The isomorphism sending gens to images, or None if there is none.
+
+    Closes (0, 0), (1, 1) and the pairs (g, h) under componentwise add and
+    mul: the subring of ring1 x ring2 they generate.  It is refused at the
+    first element of ring1 with two images or the first image reached twice.
+    Otherwise it is the graph of an injective homomorphism, defined on all of
+    ring1 because gens generate it, hence a bijection when the orders agree.
+    """
+    graph: dict[int, int] = {}
+    reached: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    new = [(ring1.zero, ring2.zero), (ring1.one, ring2.one), *zip(gens, images)]
+    i = 0
+    while True:
+        for x, y in new:
+            if x in graph:
+                if graph[x] != y:
+                    return None
+            elif y in reached:
+                return None
+            else:
+                graph[x] = y
+                reached.add(y)
+                pairs.append((x, y))
+        if i == len(pairs):
+            return graph
+        a, b = pairs[i]
+        new = (
+            pair
+            for c, d in pairs[: i + 1]
+            for pair in ((ring1.add(a, c), ring2.add(b, d)), (ring1.mul(a, c), ring2.mul(b, d)))
+        )
+        i += 1
 
 
 def _candidate_images(ring1: FiniteRing, ring2: FiniteRing, g: int) -> list[int]:
@@ -350,10 +381,9 @@ def find_ring_isomorphism(
 ) -> dict[int, int] | None:
     """Explicit isomorphism (code map) between two finite commutative rings, or None.
 
-    Backtracking over images of a generating set of ring1; a candidate
-    assignment is checked by replaying the closure derivation trace, which
-    verifies every addition/multiplication relation discovered while
-    generating ring1.
+    Tries images for a greedy generating set of ring1, in the lexicographic
+    order of the candidate lists, and returns the first graph closure that
+    is a bijection (see _graph).
     """
     if ring1.order > cap or ring2.order > cap:
         raise RingCapExceededError(
@@ -363,51 +393,14 @@ def find_ring_isomorphism(
         return None
     if ring1.characteristic() != ring2.characteristic():
         return None
-    gens = _generating_set(ring1)
-    found, derivations = _closure(ring1, gens)
-    index = {x: i for i, x in enumerate(found)}
+    gens = _generators(ring1)
     candidates = [_candidate_images(ring1, ring2, g) for g in gens]
-
-    def assign(idx: int, images: list[int]) -> dict[int, int] | None:
-        if idx == len(gens):
-            return _extend_and_verify(ring1, ring2, gens, images, found, index, derivations)
-        for h in candidates[idx]:
-            if h in images:
-                continue
-            result = assign(idx + 1, images + [h])
-            if result is not None:
-                return result
-        return None
-
-    return assign(0, [])
-
-
-def _extend_and_verify(
-    ring1, ring2, gens, gen_images, found, index, derivations
-) -> dict[int, int] | None:
-    """Extend generator images along the derivation list, then check the tables.
-
-    index maps each element of ring1 to its position in found.
-    """
-    image = [0] * len(found)
-    image[0] = ring2.zero
-    if ring1.one != ring1.zero:
-        image[1] = ring2.one
-    for g, h in zip(gens, gen_images):
-        image[index[g]] = h
-    for op, i, j, k in derivations:
-        image[k] = getattr(ring2, op)(image[i], image[j])
-    if len(set(image)) != len(found):
-        return None
-    for i in range(len(found)):
-        fi = image[i]
-        for j in range(i + 1):
-            fj = image[j]
-            if image[index[ring1.add(found[i], found[j])]] != ring2.add(fi, fj):
-                return None
-            if image[index[ring1.mul(found[i], found[j])]] != ring2.mul(fi, fj):
-                return None
-    return {found[i]: image[i] for i in range(len(found))}
+    for images in itertools.product(*candidates):
+        if len(set(images)) == len(images):
+            graph = _graph(ring1, ring2, gens, images)
+            if graph is not None:
+                return graph
+    return None
 
 
 def finite_ring_isomorphic(
@@ -417,7 +410,7 @@ def finite_ring_isomorphic(
 
     Fast rejection on order, characteristic, additive-order profile,
     idempotent/nilpotent counts and (for small rings) unit-group order,
-    then the backtracking generator-mapping search.
+    then the generator-image search of find_ring_isomorphism.
     """
     if ring1.order > cap or ring2.order > cap:
         raise RingCapExceededError(

@@ -11,7 +11,8 @@ document::
 
 Supported stalk kinds: ``Zmod`` (m), ``GF`` (p, f), ``Unramified`` (p, f, s),
 and ``Eisenstein`` (p, e, s, coeffs[, f]) for truncated quotients of ramified
-valuation rings.  Ring elements are referred to by their integer codes.
+valuation rings; every field and coefficient must be a JSON integer.  Ring
+elements are referred to by their integer codes.
 """
 
 from __future__ import annotations
@@ -52,20 +53,31 @@ class FiniteFamily:
         object.__setattr__(self, "stalks", dict(stalks))
 
 
+def _integer(spec: dict, name: str, default: int | None = None) -> int:
+    """spec[name], or default when given and the field is absent; it must be
+    a JSON integer."""
+    value = spec[name] if default is None else spec.get(name, default)
+    if type(value) is not int:  # refuses bool, float, string, list and null
+        raise ValueError(f"stalk field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def stalk_from_spec(spec: dict) -> FiniteRing:
     """Build a stalk ring from one JSON stalk description."""
     kind = spec.get("kind")
     if kind == "Zmod":
-        return ZmodRing(int(spec["m"]))
+        return ZmodRing(_integer(spec, "m"))
     if kind == "GF":
-        return LocalQuotientRing(int(spec["p"]), 1, int(spec["f"]), None, 1)
+        return LocalQuotientRing(_integer(spec, "p"), 1, _integer(spec, "f"), None, 1)
     if kind == "Unramified":
-        return LocalQuotientRing(int(spec["p"]), 1, int(spec["f"]), None, int(spec["s"]))
+        p, f, s = (_integer(spec, k) for k in ("p", "f", "s"))
+        return LocalQuotientRing(p, 1, f, None, s)
     if kind == "Eisenstein":
-        poly = IntPoly([int(c) for c in spec["coeffs"]])
-        return LocalQuotientRing(
-            int(spec["p"]), int(spec["e"]), int(spec.get("f", 1)), poly, int(spec["s"])
-        )
+        coeffs = spec["coeffs"]
+        if type(coeffs) is not list or any(type(c) is not int for c in coeffs):
+            raise ValueError(f"stalk field 'coeffs' must be a list of integers, got {coeffs!r}")
+        p, e, s = (_integer(spec, k) for k in ("p", "e", "s"))
+        return LocalQuotientRing(p, e, _integer(spec, "f", 1), IntPoly(coeffs), s)
     raise ValueError(f"unknown stalk kind {kind!r}")
 
 
@@ -79,8 +91,5 @@ def family_from_json(doc: str | dict) -> FiniteFamily:
         raise ValueError('"index" must be a list of label strings')
     if not isinstance(specs, dict) or not all(isinstance(v, dict) for v in specs.values()):
         raise ValueError('"stalks" must map each label to a stalk object')
-    try:
-        stalks = {str(k): stalk_from_spec(v) for k, v in specs.items()}
-    except TypeError as exc:  # a stalk field of the wrong JSON type, e.g. "m": [4]
-        raise ValueError(f"bad stalk field: {exc}") from exc
+    stalks = {str(k): stalk_from_spec(v) for k, v in specs.items()}
     return FiniteFamily(index, stalks)

@@ -665,37 +665,32 @@ def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
         if f == 1 and dk.factors == ((e, 1),):
             ek = eisenstein_presentation(K, p)
             el = eisenstein_presentation(L, p)
-            if ek is not None and el is not None:
-                s = keating_bound(p, e)
-                rk = residue_ring_construct(p, e, 1, ek, s)
-                rl = residue_ring_construct(p, e, 1, el, s)
-                if isinstance(rk, ResidueRing) and isinstance(rl, ResidueRing):
-                    try:
-                        same = find_ring_isomorphism(rk.ring, rl.ring, cap=ring_cap) is not None
-                    except RingCapExceededError:
-                        misses.append(
-                            UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap")
-                        )
-                        continue
-                    if same:
-                        pairs.append(
-                            MatchedLocalPair(p, e, f, "eisenstein-residue-ring", truncation=s)
-                        )
-                    else:
-                        # Rings differ at a level that determines the field.
-                        return AdeleIsoVerdict(
-                            NOT_ISOMORPHIC,
-                            bound=B,
-                            reason=(
-                                f"residue rings at p={p} differ at truncation {s}, "
-                                "which separates the completions"
-                            ),
-                            witness=p,
-                        )
-                    continue
-            misses.append(
-                UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")
-            )
+            if ek is None or el is None:
+                misses.append(
+                    UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")
+                )
+                continue
+            # Both are monic Eisenstein of degree e, so both rings get built.
+            s = keating_bound(p, e)
+            rk = residue_ring_construct(p, e, 1, ek, s)
+            rl = residue_ring_construct(p, e, 1, el, s)
+            try:
+                same = find_ring_isomorphism(rk.ring, rl.ring, cap=ring_cap) is not None
+            except RingCapExceededError:
+                misses.append(UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap"))
+                continue
+            if not same:
+                # Rings differ at a level that determines the field.
+                return AdeleIsoVerdict(
+                    NOT_ISOMORPHIC,
+                    bound=B,
+                    reason=(
+                        f"residue rings at p={p} differ at truncation {s}, "
+                        "which separates the completions"
+                    ),
+                    witness=p,
+                )
+            pairs.append(MatchedLocalPair(p, e, f, "eisenstein-residue-ring", truncation=s))
             continue
         misses.append(
             UnmatchedLocalDatum(p, e, f, "ramified local datum without a supported presentation")

@@ -195,6 +195,13 @@ FV_FAMILY = '{"index": ["a", "b"], "stalks": {"a": {"kind": "Zmod", "m": 12}, "b
         ('{"index": ["a"], "stalks": {"a": 5}}', None),
         ('{"index": [1], "stalks": {"1": {"kind": "Zmod", "m": 2}}}', None),
         ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": [4]}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": 4.7}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": "4"}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2.0, "f": 2}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2, "f": true}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2.9, 0, 1]}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": "201"}}}', None),
+        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2, 0, 1], "f": true}}}', None),
         (FV_FAMILY, "not json"),
         (FV_FAMILY, '[{"a": 1}]'),
         (FV_FAMILY, '{"a": 1, "b": 1}'),

@@ -733,6 +733,30 @@ def test_irreducible_modp_is_deterministic_and_irreducible():
             assert _brute_irreducible(f)
 
 
+def test_is_irreducible_modp_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(14)
+    cases = []
+    for p in (2, 3, 5, 7, 10007):
+        for degree in range(1, 9):
+            for _ in range(6):
+                # leading coefficient anywhere in 1..p-1, so most inputs are not monic
+                coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+                cases.append(ModPoly(p, coeffs))
+            if degree >= 2:
+                g = ModPoly(p, [rng.randrange(p) for _ in range(degree // 2)] + [1])
+                h = ModPoly(p, [rng.randrange(p) for _ in range(degree - degree // 2)] + [1])
+                cases += [g * g, g * h]
+    irreducible = 0
+    for f in cases:
+        expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+        want = sympy.Poly(expr, x, modulus=f.modulus).is_irreducible
+        assert is_irreducible_modp(f) == want, f
+        irreducible += want
+    assert 0 < irreducible < len(cases)
+
+
 def test_is_prime_against_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2000):

@@ -10,6 +10,7 @@ from adelic.finring import (
     PermutedRing,
     RingCapExceededError,
     ZmodRing,
+    _candidate_images,
     find_ring_isomorphism,
     finite_ring_isomorphic,
 )
@@ -364,3 +365,137 @@ def test_local_quotient_ring_codes_match_reference_arithmetic():
         for a, b in pairs:
             assert ring.add(a, b) == ref.add(a, b), (p, e, f, s, a, b)
             assert ring.mul(a, b) == ref.mul(a, b), (p, e, f, s, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Search oracle: the isomorphism search as it was before the graph closure.
+# It closes ring1 under add/mul while recording one derivation per element,
+# replays the derivations for each assignment of generator images, and then
+# checks the full addition and multiplication tables.  Candidate images come
+# from the library's _candidate_images, which the two searches share.
+
+
+def reference_closure(ring, gens):
+    found = [ring.zero]
+    if ring.one != ring.zero:
+        found.append(ring.one)
+    seen = set(found)
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            found.append(g)
+    derivations = []
+    i = 0
+    while i < len(found):
+        for j in range(i + 1):
+            for op in ("add", "mul"):
+                r = getattr(ring, op)(found[i], found[j])
+                if r not in seen:
+                    seen.add(r)
+                    found.append(r)
+                    derivations.append((op, i, j, len(found) - 1))
+        i += 1
+    return found, derivations
+
+
+def reference_generating_set(ring):
+    gens = []
+    closure = set(reference_closure(ring, gens)[0])
+    for a in ring.elements():
+        if len(closure) == ring.order:
+            break
+        if a not in closure:
+            gens.append(a)
+            closure = set(reference_closure(ring, gens)[0])
+    return gens
+
+
+def reference_extend_and_verify(ring1, ring2, gens, gen_images, found, index, derivations):
+    image = [0] * len(found)
+    image[0] = ring2.zero
+    if ring1.one != ring1.zero:
+        image[1] = ring2.one
+    for g, h in zip(gens, gen_images):
+        image[index[g]] = h
+    for op, i, j, k in derivations:
+        image[k] = getattr(ring2, op)(image[i], image[j])
+    if len(set(image)) != len(found):
+        return None
+    for i in range(len(found)):
+        for j in range(i + 1):
+            if image[index[ring1.add(found[i], found[j])]] != ring2.add(image[i], image[j]):
+                return None
+            if image[index[ring1.mul(found[i], found[j])]] != ring2.mul(image[i], image[j]):
+                return None
+    return {found[i]: image[i] for i in range(len(found))}
+
+
+def reference_find_ring_isomorphism(ring1, ring2):
+    if ring1.order != ring2.order or ring1.characteristic() != ring2.characteristic():
+        return None
+    gens = reference_generating_set(ring1)
+    found, derivations = reference_closure(ring1, gens)
+    index = {x: i for i, x in enumerate(found)}
+    candidates = [_candidate_images(ring1, ring2, g) for g in gens]
+
+    def assign(idx, images):
+        if idx == len(gens):
+            return reference_extend_and_verify(ring1, ring2, gens, images, found, index, derivations)
+        for h in candidates[idx]:
+            if h not in images:
+                result = assign(idx + 1, images + [h])
+                if result is not None:
+                    return result
+        return None
+
+    return assign(0, [])
+
+
+def oracle_rings():
+    """Zmod, unramified, Eisenstein (f = 1, 2) and relabeled rings of order <= 32."""
+    rings = [ZmodRing(m) for m in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)]
+    for p, f, s in [(2, 1, 3), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 1, 5), (3, 2, 1), (3, 1, 3), (5, 2, 1)]:
+        rings.append(LocalQuotientRing(p, 1, f, None, s))
+    for p, e, f, eis, s in [
+        (2, 2, 1, "x^2-2", 2),
+        (2, 2, 1, "x^2-2", 4),
+        (2, 2, 1, "x^2+2*x+2", 4),
+        (2, 2, 1, "x^2-2", 5),
+        (2, 2, 1, "x^2-6", 5),
+        (2, 3, 1, "x^3-2", 3),
+        (2, 4, 1, "x^4-2", 4),
+        (2, 5, 1, "x^5-2", 5),
+        (3, 2, 1, "x^2-3", 2),
+        (3, 2, 1, "x^2-3", 3),
+        (3, 3, 1, "x^3-3", 3),
+        (5, 2, 1, "x^2-5", 2),
+        (2, 2, 2, "x^2-2", 2),
+        (3, 2, 2, "x^2-3", 1),
+    ]:
+        rings.append(LocalQuotientRing(p, e, f, P(eis), s))
+    # Relabeling can raise the number of generators the greedy choice finds,
+    # and so the number of candidate tuples; order-32 rings with a search of
+    # over a second (such as F_2[x]/x^5) are left out to keep the test short.
+    rng = random.Random(14)
+    relabeled = [r for r in rings if r.order <= 16]
+    relabeled += [ZmodRing(32), LocalQuotientRing(2, 2, 1, P("x^2-6"), 5)]
+    for base in relabeled:
+        perm = list(range(base.order))
+        rng.shuffle(perm)
+        rings.append(PermutedRing(base, perm))
+    return rings
+
+
+def test_find_ring_isomorphism_matches_reference_search():
+    rings = oracle_rings()
+    pairs = [(a, b) for a in rings for b in rings if a.order == b.order]
+    # Two order-121 residue rings at p = 11 like those adele-iso compares.
+    r1 = LocalQuotientRing(11, 2, 1, P("x^2-11"), 2)
+    r2 = LocalQuotientRing(11, 2, 1, P("x^2+11*x+33"), 2)
+    pairs += [(r1, r2), (r2, r1)]
+    isomorphic = 0
+    for a, b in pairs:
+        expected = reference_find_ring_isomorphism(a, b)
+        assert find_ring_isomorphism(a, b) == expected, (a, b)
+        isomorphic += expected is not None
+    assert 0 < isomorphic < len(pairs)
