@@ -42,6 +42,7 @@ _EXIT_CODES = {
     "adelic.primes.PrimeBoundCapError": EXIT_CAP,
     "adelic.finring.RingCapExceededError": EXIT_CAP,
     "adelic.fv.evaluate.EvalCapError": EXIT_CAP,
+    "adelic.fv.formulas.FormulaCapError": EXIT_CAP,
 }
 
 # An inline field argument longer than this is quoted only around the error.

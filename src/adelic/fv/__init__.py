@@ -2,6 +2,7 @@
 
 from .formulas import (
     FormulaSyntaxError,
+    FormulaCapError,
     parse_ring_formula,
     parse_boole_formula,
     formula_to_text,
@@ -25,6 +26,7 @@ from .evaluate import (
 
 __all__ = [
     "FormulaSyntaxError",
+    "FormulaCapError",
     "parse_ring_formula",
     "parse_boole_formula",
     "formula_to_text",

@@ -39,6 +39,7 @@ from .formulas import (
     RSub,
     RVar,
     RingTerm,
+    _var_key,
     boole_arity,
     boole_free_vars,
     quantifier_depth,
@@ -96,48 +97,70 @@ class GeneralizedSentence:
 
 
 # ---------------------------------------------------------------------------
+# One walk over the connectives and quantifiers of both languages.
+
+_COMPOUND = frozenset((Not, And, Or, Implies, Exists, Forall))
+
+
+def _holds(node: Formula, env: dict, atom, domain) -> bool:
+    """Truth of node under env, which maps free-variable indices and bound
+    keys to values: atom(node, env) decides an atom, and a quantifier binds
+    its variable to each value of domain() in turn."""
+    kind = type(node)
+    if kind not in _COMPOUND:
+        return atom(node, env)
+    if kind is And:
+        return _holds(node.left, env, atom, domain) and _holds(node.right, env, atom, domain)
+    if kind is Or:
+        return _holds(node.left, env, atom, domain) or _holds(node.right, env, atom, domain)
+    if kind is Not:
+        return not _holds(node.body, env, atom, domain)
+    if kind is Implies:
+        return not _holds(node.left, env, atom, domain) or _holds(node.right, env, atom, domain)
+    key, want = _var_key(node.var), kind is Exists
+    outer = env.get(key)  # a shadowed binding, or None for a fresh name
+    try:
+        for value in domain():
+            env[key] = value
+            if _holds(node.body, env, atom, domain) is want:
+                return want
+        return not want
+    finally:
+        env[key] = outer
+
+
+def _environment(free, assignment, name: str) -> dict:
+    """The values assignment gives the free variables; a missing one is an
+    arity mismatch."""
+    env = {}
+    for idx in free:
+        try:
+            env[idx] = assignment[idx]
+        except (KeyError, IndexError):
+            raise ArityMismatchError(f"no value for {name}{idx}") from None
+    return env
+
+
+# ---------------------------------------------------------------------------
 # Ring-formula satisfaction over one stalk.
 
 
-def _eval_term(term: RingTerm, ring: FiniteRing, free, bound: dict) -> int:
-    if isinstance(term, RVar):
-        try:
-            return free[term.index]
-        except (KeyError, IndexError):
-            raise ArityMismatchError(f"no value for free variable w{term.index}") from None
-    if isinstance(term, RBound):
-        return bound[term.name]
-    if isinstance(term, RConst):
+def _eval_term(term: RingTerm, ring: FiniteRing, env: dict) -> int:
+    kind = type(term)
+    if kind is RVar:
+        return env[term.index]
+    if kind is RBound:
+        return env[term.name]
+    if kind is RConst:
         return ring.one if term.value == 1 else ring.zero
-    if isinstance(term, RAdd):
-        return ring.add(_eval_term(term.left, ring, free, bound), _eval_term(term.right, ring, free, bound))
-    if isinstance(term, RSub):
-        return ring.sub(_eval_term(term.left, ring, free, bound), _eval_term(term.right, ring, free, bound))
-    if isinstance(term, RMul):
-        return ring.mul(_eval_term(term.left, ring, free, bound), _eval_term(term.right, ring, free, bound))
+    left, right = _eval_term(term.left, ring, env), _eval_term(term.right, ring, env)
+    if kind is RAdd:
+        return ring.add(left, right)
+    if kind is RSub:
+        return ring.sub(left, right)
+    if kind is RMul:
+        return ring.mul(left, right)
     raise TypeError(f"unexpected term {term!r}")
-
-
-def _eval_ring(node: Formula, ring: FiniteRing, free, bound: dict) -> bool:
-    if isinstance(node, REq):
-        return _eval_term(node.left, ring, free, bound) == _eval_term(node.right, ring, free, bound)
-    if isinstance(node, Not):
-        return not _eval_ring(node.body, ring, free, bound)
-    if isinstance(node, And):
-        return _eval_ring(node.left, ring, free, bound) and _eval_ring(node.right, ring, free, bound)
-    if isinstance(node, Or):
-        return _eval_ring(node.left, ring, free, bound) or _eval_ring(node.right, ring, free, bound)
-    if isinstance(node, Implies):
-        return (not _eval_ring(node.left, ring, free, bound)) or _eval_ring(node.right, ring, free, bound)
-    if isinstance(node, Exists):
-        return any(
-            _eval_ring(node.body, ring, free, {**bound, node.var: a}) for a in ring.elements()
-        )
-    if isinstance(node, Forall):
-        return all(
-            _eval_ring(node.body, ring, free, {**bound, node.var: a}) for a in ring.elements()
-        )
-    raise TypeError(f"unexpected node {node!r}")
 
 
 def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
@@ -150,20 +173,15 @@ def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
         raise EvalCapError(f"stalk order {stalk.order} exceeds {MAX_STALK_ORDER}")
     if quantifier_depth(theta) > MAX_QUANTIFIER_DEPTH:
         raise EvalCapError(f"quantifier depth exceeds {MAX_QUANTIFIER_DEPTH}")
-    for code in _assignment_codes(theta, assignment):
+    env = _environment(ring_free_vars(theta), assignment, "free variable w")
+    for code in env.values():
         if not 0 <= code < stalk.order:
             raise ValueError(f"element code {code} is not in the stalk")
-    return _eval_ring(theta, stalk, assignment, {})
 
+    def equal(node: REq, env: dict) -> bool:
+        return _eval_term(node.left, stalk, env) == _eval_term(node.right, stalk, env)
 
-def _assignment_codes(theta, assignment):
-    codes = []
-    for idx in ring_free_vars(theta):
-        try:
-            codes.append(assignment[idx])
-        except (KeyError, IndexError):
-            raise ArityMismatchError(f"no value for free variable w{idx}") from None
-    return codes
+    return _holds(theta, env, equal, stalk.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +219,6 @@ def _all_subsets(universe: tuple[str, ...]):
             yield frozenset(combo)
 
 
-def _eval_boole(node: Formula, universe: frozenset, assignment: dict) -> bool:
-    if isinstance(node, BEq):
-        return assignment[node.left.index] == assignment[node.right.index]
-    if isinstance(node, BSub):
-        return assignment[node.left.index] <= assignment[node.right.index]
-    if isinstance(node, BFin):
-        # The ideal of finite subsets of a finite index set is everything.
-        _ = assignment[node.var.index]
-        return True
-    if isinstance(node, BConst):
-        target = universe if node.value == 1 else frozenset()
-        return assignment[node.var.index] == target
-    if isinstance(node, Not):
-        return not _eval_boole(node.body, universe, assignment)
-    if isinstance(node, And):
-        return _eval_boole(node.left, universe, assignment) and _eval_boole(node.right, universe, assignment)
-    if isinstance(node, Or):
-        return _eval_boole(node.left, universe, assignment) or _eval_boole(node.right, universe, assignment)
-    if isinstance(node, Implies):
-        return (not _eval_boole(node.left, universe, assignment)) or _eval_boole(
-            node.right, universe, assignment
-        )
-    if isinstance(node, (Exists, Forall)):
-        idx = int(node.var[1:])
-        subsets = _all_subsets(tuple(sorted(universe)))
-        if isinstance(node, Exists):
-            return any(_eval_boole(node.body, universe, {**assignment, idx: s}) for s in subsets)
-        return all(_eval_boole(node.body, universe, {**assignment, idx: s}) for s in subsets)
-    raise TypeError(f"unexpected node {node!r}")
-
-
 def eval_boole(psi: Formula, index_set, assignment) -> bool:
     """Satisfaction of psi in the powerset algebra of the index set.
 
@@ -241,17 +228,27 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
     universe = frozenset(index_set)
     if len(universe) > MAX_INDEX_SET:
         raise EvalCapError(f"index set larger than {MAX_INDEX_SET} is not supported")
-    env = {}
-    for idx in boole_free_vars(psi):
-        try:
-            value = assignment[idx]
-        except (KeyError, IndexError):
-            raise ArityMismatchError(f"no value for Boolean variable v{idx}") from None
-        value = frozenset(value)
+    env = _environment(boole_free_vars(psi), assignment, "Boolean variable v")
+    for idx, value in env.items():
+        env[idx] = value = frozenset(value)
         if not value <= universe:
             raise ValueError(f"assignment for v{idx} is not a subset of the index set")
-        env[idx] = value
-    return _eval_boole(psi, universe, env)
+    ordered = tuple(sorted(universe))
+
+    def relation(node, env: dict) -> bool:
+        kind = type(node)
+        if kind is BSub:
+            return env[node.left.index] <= env[node.right.index]
+        if kind is BEq:
+            return env[node.left.index] == env[node.right.index]
+        if kind is BConst:
+            return env[node.var.index] == (universe if node.value == 1 else frozenset())
+        if kind is BFin:
+            # The ideal of finite subsets of a finite index set is everything.
+            return True
+        raise TypeError(f"unexpected node {node!r}")
+
+    return _holds(psi, env, relation, lambda: _all_subsets(ordered))
 
 
 def gen_product_eval(sentence: GeneralizedSentence, family: FiniteFamily, elements=()) -> bool:

@@ -11,8 +11,10 @@ document::
 
 Supported stalk kinds: ``Zmod`` (m), ``GF`` (p, f), ``Unramified`` (p, f, s),
 and ``Eisenstein`` (p, e, s, coeffs[, f]) for truncated quotients of ramified
-valuation rings; every field and coefficient must be a JSON integer.  Ring
-elements are referred to by their integer codes.
+valuation rings; every field and coefficient must be a JSON integer.  A
+stalk whose order, m or p^(f*s), exceeds MAX_STALK_ORDER is refused from its
+description, before any ring is built.  Ring elements are referred to by their
+integer codes.
 """
 
 from __future__ import annotations
@@ -62,22 +64,35 @@ def _integer(spec: dict, name: str, default: int | None = None) -> int:
     return value
 
 
+def _local_quotient(p: int, e: int, f: int, eisenstein, s: int) -> LocalQuotientRing:
+    """LocalQuotientRing(p, e, f, eisenstein, s), refused before it is built
+    when its order p^(f*s) exceeds MAX_STALK_ORDER; as p >= 2, f*s must stay
+    below the cap's bit length, so no large power is computed."""
+    if p >= 2 and f >= 1 and s >= 1:
+        if f * s >= MAX_STALK_ORDER.bit_length() or p ** (f * s) > MAX_STALK_ORDER:
+            raise ValueError(f"stalk order {p}^{f * s} > {MAX_STALK_ORDER}")
+    return LocalQuotientRing(p, e, f, eisenstein, s)
+
+
 def stalk_from_spec(spec: dict) -> FiniteRing:
     """Build a stalk ring from one JSON stalk description."""
     kind = spec.get("kind")
     if kind == "Zmod":
-        return ZmodRing(_integer(spec, "m"))
+        m = _integer(spec, "m")
+        if m > MAX_STALK_ORDER:
+            raise ValueError(f"stalk order {m} > {MAX_STALK_ORDER}")
+        return ZmodRing(m)
     if kind == "GF":
-        return LocalQuotientRing(_integer(spec, "p"), 1, _integer(spec, "f"), None, 1)
+        return _local_quotient(_integer(spec, "p"), 1, _integer(spec, "f"), None, 1)
     if kind == "Unramified":
         p, f, s = (_integer(spec, k) for k in ("p", "f", "s"))
-        return LocalQuotientRing(p, 1, f, None, s)
+        return _local_quotient(p, 1, f, None, s)
     if kind == "Eisenstein":
         coeffs = spec["coeffs"]
         if type(coeffs) is not list or any(type(c) is not int for c in coeffs):
             raise ValueError(f"stalk field 'coeffs' must be a list of integers, got {coeffs!r}")
         p, e, s = (_integer(spec, k) for k in ("p", "e", "s"))
-        return LocalQuotientRing(p, e, _integer(spec, "f", 1), IntPoly(coeffs), s)
+        return _local_quotient(p, e, _integer(spec, "f", 1), IntPoly(coeffs), s)
     raise ValueError(f"unknown stalk kind {kind!r}")
 
 

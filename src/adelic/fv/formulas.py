@@ -10,7 +10,10 @@ Two first-order languages share one concrete ASCII syntax:
 
 Connectives are ``not``, ``and``, ``or``, ``->`` (implication, right
 associative, lowest precedence); quantifiers are ``exists``/``forall`` and
-take the largest formula to their right.  Parse errors carry line and column.
+take the largest formula to their right.  Parse errors, including a y/z name
+used outside every quantifier that binds it, carry line and column.  A
+formula of more than MAX_FORMULA_TOKENS tokens is refused before parsing, so
+that no recursive walk of a tree nears the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "FormulaSyntaxError",
+    "FormulaCapError",
+    "MAX_FORMULA_TOKENS",
     "RingTerm",
     "RVar",
     "RBound",
@@ -57,6 +62,19 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class FormulaCapError(ValueError):
+    """Formula text longer than MAX_FORMULA_TOKENS tokens."""
+
+
+# Every walk of a tree (parser, free variables, quantifier depth, printing,
+# evaluation) recurses at most four times per token.  The parser is the
+# deepest: each '(' it reads as a formula costs parse_unary, parse_formula,
+# parse_disjunction and parse_conjunction, whether or not the text closes
+# it.  150 tokens keep every walk near 600 frames, below the default
+# recursion limit of 1000.
+MAX_FORMULA_TOKENS = 150
 
 
 # -- syntax tree nodes ------------------------------------------------------
@@ -219,6 +237,11 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
+        if len(tokens) == MAX_FORMULA_TOKENS:
+            raise FormulaCapError(
+                f"formula length exceeds the cap of {MAX_FORMULA_TOKENS} tokens "
+                f"(line {line}, column {col})"
+            )
         if text.startswith("->", i):
             tokens.append(_Token("->", "->", line, col))
             i += 2
@@ -269,6 +292,7 @@ class _Parser:
         self.pos = 0
         self.mode = mode  # "ring" or "boole"
         self.text = text
+        self.bound = frozenset()  # quantified names in scope at self.pos
 
     def _error(self, message: str) -> FormulaSyntaxError:
         if self.pos < len(self.tokens):
@@ -332,22 +356,30 @@ class _Parser:
                 raise self._error(f"quantified ring variables are y/z names, got {var!r}")
             if self.mode == "boole" and not _is_boole_var(var):
                 raise self._error(f"quantified Boolean variables are v names, got {var!r}")
+            outer = self.bound
+            self.bound = outer | {var}
             body = self.parse_formula()
+            self.bound = outer
             return Exists(var, body) if tok.text == "exists" else Forall(var, body)
         if tok.kind == "(":
             # Either a parenthesized formula or a parenthesized ring term at
-            # the start of an atom; try the formula first.
-            save = self.pos
+            # the start of an atom; try the formula first.  When both fail,
+            # the error further into the text is reported.
+            save = self.pos, self.bound
             try:
                 self.take("(")
                 inner = self.parse_formula()
                 self.take(")")
                 return inner
-            except FormulaSyntaxError:
+            except FormulaSyntaxError as formula_error:
                 if self.mode != "ring":
                     raise
-                self.pos = save
-                return self.parse_ring_atom()
+                self.pos, self.bound = save
+                try:
+                    return self.parse_ring_atom()
+                except FormulaSyntaxError as term_error:
+                    errors = (formula_error, term_error)
+                    raise max(errors, key=lambda e: (e.line, e.column)) from None
         return self.parse_ring_atom() if self.mode == "ring" else self.parse_boole_atom()
 
     # ring atoms and terms
@@ -393,6 +425,10 @@ class _Parser:
             if _is_ring_var(tok.text):
                 return RVar(int(tok.text[1:]))
             if _is_bound_name(tok.text):
+                if tok.text not in self.bound:
+                    raise FormulaSyntaxError(
+                        f"unbound quantified variable {tok.text!r}", tok.line, tok.column
+                    )
                 return RBound(tok.text)
             raise FormulaSyntaxError(
                 f"unknown ring variable {tok.text!r} (use w<k> or y/z names)",
@@ -445,94 +481,59 @@ class _Parser:
         return BVar(int(tok.text[1:]))
 
 
-def parse_ring_formula(text: str) -> Formula:
-    """Parse a ring formula; free variables are the w<k> occurrences."""
-    parser = _Parser(text, "ring")
+def _parse(text: str, mode: str) -> Formula:
+    parser = _Parser(text, mode)
     result = parser.parse_formula()
     if parser.peek() is not None:
         raise parser._error(f"trailing input {parser.peek().text!r}")
-    _check_ring(result, frozenset())
     return result
+
+
+def parse_ring_formula(text: str) -> Formula:
+    """Parse a ring formula; free variables are the w<k> occurrences."""
+    return _parse(text, "ring")
 
 
 def parse_boole_formula(text: str) -> Formula:
     """Parse a Boolean-side formula over v<k> variables."""
-    parser = _Parser(text, "boole")
-    result = parser.parse_formula()
-    if parser.peek() is not None:
-        raise parser._error(f"trailing input {parser.peek().text!r}")
-    return result
-
-
-def _check_ring(node: Formula, bound: frozenset[str]) -> None:
-    if isinstance(node, REq):
-        for term in (node.left, node.right):
-            _check_ring_term(term, bound)
-    elif isinstance(node, Not):
-        _check_ring(node.body, bound)
-    elif isinstance(node, (And, Or, Implies)):
-        _check_ring(node.left, bound)
-        _check_ring(node.right, bound)
-    elif isinstance(node, (Exists, Forall)):
-        _check_ring(node.body, bound | {node.var})
-    else:
-        raise TypeError(f"unexpected node {node!r}")
-
-
-def _check_ring_term(term: RingTerm, bound: frozenset[str]) -> None:
-    if isinstance(term, RBound):
-        if term.name not in bound:
-            raise ValueError(f"unbound quantified variable {term.name!r}")
-    elif isinstance(term, (RAdd, RSub, RMul)):
-        _check_ring_term(term.left, bound)
-        _check_ring_term(term.right, bound)
-    elif not isinstance(term, (RVar, RConst)):
-        raise TypeError(f"unexpected term {term!r}")
+    return _parse(text, "boole")
 
 
 # -- free variables, arity, depth -------------------------------------------
 
 
+def _var_key(var: str):
+    """What a quantifier over var binds: the index of a v-variable, the name
+    of a y/z variable (which no free w-index can equal)."""
+    return int(var[1:]) if var[0] == "v" else var
+
+
+def _free_vars(node, bound: frozenset) -> frozenset[int]:
+    """Indices of the free w- or v-variables of a formula or term of either
+    language; bound holds the keys of the enclosing quantifiers."""
+    kind = type(node)
+    if kind is RVar or kind is BVar:
+        return frozenset(() if node.index in bound else (node.index,))
+    if kind is RBound or kind is RConst:
+        return frozenset()
+    if kind is Exists or kind is Forall:
+        return _free_vars(node.body, bound | {_var_key(node.var)})
+    if kind is Not:
+        return _free_vars(node.body, bound)
+    if kind is BFin or kind is BConst:
+        return _free_vars(node.var, bound)
+    # binary connectives, ring atoms and operations, BEq, BSub
+    return _free_vars(node.left, bound) | _free_vars(node.right, bound)
+
+
 def ring_free_vars(node: Formula) -> frozenset[int]:
     """Indices of the free w-variables."""
-    if isinstance(node, REq):
-        return _term_free(node.left) | _term_free(node.right)
-    if isinstance(node, Not):
-        return ring_free_vars(node.body)
-    if isinstance(node, (And, Or, Implies)):
-        return ring_free_vars(node.left) | ring_free_vars(node.right)
-    if isinstance(node, (Exists, Forall)):
-        return ring_free_vars(node.body)
-    raise TypeError(f"unexpected node {node!r}")
-
-
-def _term_free(term: RingTerm) -> frozenset[int]:
-    if isinstance(term, RVar):
-        return frozenset((term.index,))
-    if isinstance(term, (RAdd, RSub, RMul)):
-        return _term_free(term.left) | _term_free(term.right)
-    return frozenset()
+    return _free_vars(node, frozenset())
 
 
 def boole_free_vars(node: Formula) -> frozenset[int]:
     """Indices of the free v-variables (quantified indices are not free)."""
-
-    def walk(n: Formula, bound: frozenset[int]) -> frozenset[int]:
-        if isinstance(n, (BEq, BSub)):
-            return frozenset(i for i in (n.left.index, n.right.index) if i not in bound)
-        if isinstance(n, BFin):
-            return frozenset(() if n.var.index in bound else (n.var.index,))
-        if isinstance(n, BConst):
-            return frozenset(() if n.var.index in bound else (n.var.index,))
-        if isinstance(n, Not):
-            return walk(n.body, bound)
-        if isinstance(n, (And, Or, Implies)):
-            return walk(n.left, bound) | walk(n.right, bound)
-        if isinstance(n, (Exists, Forall)):
-            return walk(n.body, bound | {int(n.var[1:])})
-        raise TypeError(f"unexpected node {n!r}")
-
-    return walk(node, frozenset())
+    return _free_vars(node, frozenset())
 
 
 def ring_arity(node: Formula) -> int:
@@ -576,7 +577,8 @@ def _term_text(term: RingTerm) -> str:
 
 
 def formula_to_text(node: Formula) -> str:
-    """Canonical fully-parenthesized rendering; reparses to an equal tree."""
+    """Canonical fully-parenthesized rendering; reparses to an equal tree
+    when the rendering stays within MAX_FORMULA_TOKENS."""
     if isinstance(node, REq):
         return f"{_term_text(node.left)} = {_term_text(node.right)}"
     if isinstance(node, BEq):

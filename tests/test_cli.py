@@ -18,6 +18,7 @@ from adelic.cli import (
     main,
 )
 from adelic.exactpoly import MAX_DEGREE, IntPoly
+from adelic.fv.formulas import MAX_FORMULA_TOKENS
 from adelic.primes import MAX_PRIME_BOUND, PROVEN_PRIMALITY_BOUND, primes_up_to
 
 
@@ -188,39 +189,115 @@ def test_fv_eval_parse_error(tmp_path, capsys):
 FV_FAMILY = '{"index": ["a", "b"], "stalks": {"a": {"kind": "Zmod", "m": 12}, "b": {"kind": "Zmod", "m": 2}}}'
 
 
+FV_INPUT_ERRORS = [
+    ('{"index": 5, "stalks": {}}', None),
+    ('{"index": ["a"], "stalks": {"a": 5}}', None),
+    ('{"index": [1], "stalks": {"1": {"kind": "Zmod", "m": 2}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": [4]}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": 4.7}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": "4"}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2.0, "f": 2}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2, "f": true}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2.9, 0, 1]}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": "201"}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2, 0, 1], "f": true}}}', None),
+    (FV_FAMILY, "not json"),
+    (FV_FAMILY, '[{"a": 1}]'),
+    (FV_FAMILY, '{"a": 1, "b": 1}'),
+    (FV_FAMILY, "[5]"),
+    (FV_FAMILY, '[{"a": 99, "b": 1}]'),
+    (FV_FAMILY, '[{"a": -1, "b": 1}]'),
+    (FV_FAMILY, '[{"a": "1", "b": 1}]'),
+    (FV_FAMILY, '[{"a": 1.0, "b": 1}]'),
+    (FV_FAMILY, '[{"a": true, "b": 1}]'),
+]
+
+
 @pytest.mark.parametrize(
-    "family, elements",
-    [
-        ('{"index": 5, "stalks": {}}', None),
-        ('{"index": ["a"], "stalks": {"a": 5}}', None),
-        ('{"index": [1], "stalks": {"1": {"kind": "Zmod", "m": 2}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": [4]}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": 4.7}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": "4"}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2.0, "f": 2}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "GF", "p": 2, "f": true}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2.9, 0, 1]}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": "201"}}}', None),
-        ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2, 0, 1], "f": true}}}', None),
-        (FV_FAMILY, "not json"),
-        (FV_FAMILY, '[{"a": 1}]'),
-        (FV_FAMILY, '{"a": 1, "b": 1}'),
-        (FV_FAMILY, "[5]"),
-        (FV_FAMILY, '[{"a": 99, "b": 1}]'),
-        (FV_FAMILY, '[{"a": -1, "b": 1}]'),
-        (FV_FAMILY, '[{"a": "1", "b": 1}]'),
-        (FV_FAMILY, '[{"a": 1.0, "b": 1}]'),
-        (FV_FAMILY, '[{"a": true, "b": 1}]'),
-    ],
+    "family, elements, theta",
+    # the family and element cases keep the ids they had without a theta
+    [pytest.param(family, elements, "w0 = w0", id=f"{family}-{elements}")
+     for family, elements in FV_INPUT_ERRORS]
+    + [(FV_FAMILY, None, "y = 0"), (FV_FAMILY, None, "exists y (z = 0)")],
 )
-def test_fv_eval_input_errors(tmp_path, capsys, family, elements):
+def test_fv_eval_input_errors(tmp_path, capsys, family, elements, theta):
     fam = tmp_path / "family.json"
     fam.write_text(family)
-    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0"]
+    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", theta]
     if elements is not None:
         argv += ["--elements", elements]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_fv_eval_unbound_variable_names_its_position(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(FV_FAMILY)
+    for theta, where in (("y = 0", "(line 1, column 1)"), ("exists y (z = 0)", "(line 1, column 11)")):
+        code, out, err = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", theta)
+        assert code == 2 and out == "" and "unbound quantified variable" in err and where in err
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--theta", "(" * 400 + "w0" + ")" * 400 + " = w0"),
+        ("--psi", "not " * 1000 + "v0 = 1"),
+        ("--theta", "w0 + " * 2999 + "w0 = w0"),
+        ("--psi", " and ".join(["v0 = 1"] * 3000)),
+        ("--psi", "not " * (MAX_FORMULA_TOKENS - 2) + "v0 = 1"),
+    ],
+)
+def test_fv_eval_formula_length_cap(tmp_path, capsys, option, text):
+    fam = tmp_path / "family.json"
+    fam.write_text(FV_FAMILY)
+    formulas = {"--psi": "v0 = 1", "--theta": "w0 = w0", option: text}
+    argv = ["fv-eval", "--family", str(fam)] + [a for kv in formulas.items() for a in kv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAP and out == "" and "exceeds the cap" in err
+
+
+def test_fv_eval_formulas_at_the_length_cap(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(FV_FAMILY)
+    deepest = "(" * ((MAX_FORMULA_TOKENS - 3) // 2) + "w0 = w0" + ")" * ((MAX_FORMULA_TOKENS - 3) // 2)
+    longest = "not " * (MAX_FORMULA_TOKENS - 3) + "v0 = 1"
+    code, out, _ = run(capsys, "fv-eval", "--family", str(fam), "--psi", longest, "--theta", deepest)
+    assert code == 0 and out.strip() == "false"
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--theta", "(" * (MAX_FORMULA_TOKENS - 1) + "w0"),
+        ("--psi", "(" * (MAX_FORMULA_TOKENS - 1) + "v0"),
+    ],
+)
+def test_fv_eval_unclosed_parentheses_at_the_length_cap(tmp_path, capsys, option, text):
+    fam = tmp_path / "family.json"
+    fam.write_text(FV_FAMILY)
+    formulas = {"--psi": "v0 = 1", "--theta": "w0 = w0", option: text}
+    argv = ["fv-eval", "--family", str(fam)] + [a for kv in formulas.items() for a in kv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "stalk, order",
+    [
+        ({"kind": "Unramified", "p": 3, "f": 1, "s": 100000000}, "3^100000000"),
+        ({"kind": "GF", "p": 2, "f": 400}, "2^400"),
+        ({"kind": "Eisenstein", "p": 2, "e": 2, "s": 10**9, "coeffs": [2, 0, 1]}, "2^1000000000"),
+        ({"kind": "Zmod", "m": 4097}, "4097"),
+    ],
+)
+def test_fv_eval_refuses_oversized_stalk_from_its_description(tmp_path, capsys, stalk, order):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"index": ["a"], "stalks": {"a": stalk}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and f"stalk order {order} > 4096" in err
 
 
 def _error_class(qualname: str) -> type:
@@ -349,4 +426,80 @@ def test_fuzz_main_exit_codes(capsys):
     for argv, want in edge_cases:
         assert _main_exit_code(argv) == want, argv
     capsys.readouterr()
+    assert time.perf_counter() - start < 60
+
+
+# Atoms of each grammar; y is bound only when a quantifier over y encloses it
+# (a quantifier takes everything to its right unless parenthesized).
+_FUZZ_ATOMS = {
+    "ring": (("w0", "=", "w0"), ("w0", "+", "w1", "=", "0"), ("y", "*", "y", "=", "w0"),
+             ("(", "w1", "-", "1", ")", "*", "w0", "=", "1")),
+    "boole": (("v0", "=", "1"), ("v1", "sub", "v0"), ("Fin", "(", "v2", ")"), ("v2", "=", "v0"),
+              ("v0", "=", "0")),
+}
+_FUZZ_WORDS = ("w0", "w1", "v0", "v1", "y", "z", "0", "1", "2", "(", ")", "=", "+", "-", "*",
+               "->", "and", "or", "not", "exists", "forall", "sub", "Fin", "#")
+
+
+def _fuzz_formula(rng: random.Random, grammar: str) -> str:
+    """Random formula text: atoms of the grammar joined into a chain and
+    wrapped in parentheses, negations and quantifiers (often only in
+    parentheses, the parser's deepest recursion), up to a random length
+    that is often near MAX_FORMULA_TOKENS or up to five times past it; one in
+    five leaves every parenthesis it opens unclosed, and one in three has a
+    random token replaced, inserted or deleted."""
+    atoms = _FUZZ_ATOMS[grammar]
+    cap = MAX_FORMULA_TOKENS
+    target = rng.choice((rng.randint(1, 30), rng.randint(cap - 30, cap + 10), rng.randint(cap, 5 * cap)))
+    nesting = rng.choice((rng.random(), 1.0))  # chance to wrap rather than extend the chain
+    paren = rng.choice((0.5, 1.0))  # chance that a wrap is a parenthesis rather than a 'not'
+    close = [")"] if rng.random() < 0.8 else []
+    # Boolean quantifiers enumerate all 2^|I| subsets, so their nesting is
+    # kept at 3: each further level multiplies the work by 2^|I|.
+    quantifiers = 3 if grammar == "boole" else 6
+    tokens = list(rng.choice(atoms))
+    while len(tokens) < target:
+        if rng.random() >= nesting:
+            tokens += [rng.choice(("and", "or", "->"))] + list(rng.choice(atoms))
+        elif quantifiers and rng.random() < 0.1:
+            quantifiers -= 1
+            var = rng.choice(("y", "y", "z")) if grammar == "ring" else rng.choice(("v1", "v2", "v3"))
+            body = ["("] + tokens + close if rng.random() < 0.5 else tokens
+            tokens = [rng.choice(("exists", "forall")), var] + body
+        else:
+            tokens = (["not"] + tokens) if rng.random() >= paren else (["("] + tokens + close)
+    if rng.random() < 1 / 3:
+        i = rng.randrange(len(tokens))
+        edit = rng.randrange(3)
+        if edit == 0:
+            tokens[i] = rng.choice(_FUZZ_WORDS)
+        elif edit == 1:
+            tokens.insert(i, rng.choice(_FUZZ_WORDS))
+        else:
+            del tokens[i]
+    return " ".join(tokens)
+
+
+def test_fuzz_fv_eval_exit_codes(tmp_path, capsys):
+    """Seeded random ring and Boolean formulas through main(), valid and
+    invalid, nested deep and chained long up to past the length cap: every
+    case ends in exit 0, 2 or 4, raising nothing, within a time bound."""
+    fam = tmp_path / "family.json"
+    fam.write_text('{"index": ["a", "b"], "stalks": {"a": {"kind": "Zmod", "m": 3}, '
+                   '"b": {"kind": "GF", "p": 2, "f": 1}}}')
+    rng = random.Random(20261019)
+    thetas = ["--theta", "w0 = w0", "--theta", "w0 = 0", "--theta", "exists y (y * y = w0 + 1)"]
+    cases = []
+    for _ in range(80):
+        cases.append(["--psi", "v0 = 1", "--theta", _fuzz_formula(rng, "ring")])
+        cases.append(["--psi", _fuzz_formula(rng, "boole")] + thetas)
+    codes = []
+    start = time.perf_counter()
+    for argv in cases:
+        case_start = time.perf_counter()
+        codes.append(_main_exit_code(["fv-eval", "--family", str(fam)] + argv))
+        assert codes[-1] in (0, 2, 4), argv
+        assert time.perf_counter() - case_start < 5, argv
+    capsys.readouterr()
+    assert {0, 2, 4} <= set(codes)
     assert time.perf_counter() - start < 60

@@ -23,9 +23,10 @@ from adelic.fv import (
     preservation_check,
     ring_arity,
     ring_free_vars,
+    stalk_from_spec,
     theta_set,
 )
-from adelic.fv.formulas import And, Exists
+from adelic.fv.formulas import MAX_FORMULA_TOKENS, And, Exists, FormulaCapError, quantifier_depth
 
 P = parse_int_poly
 
@@ -61,6 +62,77 @@ def test_parse_errors_carry_position():
         parse_ring_formula("exists v0 (v0 = 0)")  # wrong variable kind
     with pytest.raises(ValueError):
         parse_ring_formula("y = 0")  # unbound quantified variable
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("y = 0", 1),
+        ("exists y (z = 0)", 11),
+        ("(exists y (y = 0)) and y = w0", 24),
+        ("(exists y (y = 0) and z1 * w0 = 0)", 23),
+        ("exists y (y = 0) -> z1 = y", 21),
+    ],
+)
+def test_unbound_quantified_variable_is_a_syntax_error(text, column):
+    with pytest.raises(FormulaSyntaxError, match="unbound quantified variable") as exc:
+        parse_ring_formula(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def _at_stack_depth(depth: int, fn):
+    """fn() called with depth more frames on the stack."""
+    return fn() if depth == 0 else _at_stack_depth(depth - 1, fn)
+
+
+def test_formulas_at_the_length_cap_stay_within_the_recursion_limit():
+    """The deepest nestings and longest chains the cap admits parse, print
+    and evaluate with 200 frames already on the stack, and unclosed
+    parentheses up to the cap are syntax errors; one token more is refused."""
+    cap = MAX_FORMULA_TOKENS
+    half = (cap - 3) // 2
+    third = (cap - 3) // 3
+    ring = {
+        "(" * half + "w0 = w0" + ")" * half: True,
+        "(" * half + "w0" + ")" * half + " = w0": True,
+        "w0 + " * half + "w0 = 0": (half + 1) % 2 == 0,
+        "not (" * third + "w0 = w0" + ")" * third: third % 2 == 0,
+    }
+    boole = {
+        "not " * (cap - 3) + "v0 = 1": (cap - 3) % 2 == 0,
+        "(" * half + "v0 = 1" + ")" * half: True,
+        "exists v1 " * half + "v0 = 1": True,
+        " and ".join(["v0 = 1"] * ((cap + 1) // 4)): True,
+        " -> ".join(["v0 = 1"] * ((cap + 1) // 4 - 1) + ["v0 = 0"]): False,
+    }
+    index = ("a", "b", "c")
+
+    def walk(parse, text):
+        tree = parse(text)
+        assert formula_to_text(tree)
+        assert quantifier_depth(tree) in (0, half)
+        return tree
+
+    for text, value in ring.items():
+        tree = _at_stack_depth(200, lambda: walk(parse_ring_formula, text))
+        assert ring_free_vars(tree) == frozenset({0})
+        assert _at_stack_depth(200, lambda: eval_ring_formula(tree, ZmodRing(2), {0: 1})) is value
+    for text, value in boole.items():
+        tree = _at_stack_depth(200, lambda: walk(parse_boole_formula, text))
+        assert boole_arity(tree) == 1
+        assert _at_stack_depth(200, lambda: eval_boole(tree, index, {0: frozenset(index)})) is value
+    unclosed = {
+        parse_ring_formula: ("(" * (cap - 1) + "w0", "(" * (cap - 3) + "w0 = w0"),
+        parse_boole_formula: ("(" * (cap - 1) + "v0", "exists v1 (" * (cap // 3)),
+    }
+    for parse, texts in unclosed.items():
+        for text in texts:
+            with pytest.raises(FormulaSyntaxError):
+                _at_stack_depth(200, lambda: parse(text))
+    with pytest.raises(FormulaCapError, match="exceeds the cap"):
+        parse_boole_formula("not " * (cap - 2) + "v0 = 1")
+    with pytest.raises(FormulaCapError):
+        parse_ring_formula("w0 = w0 and " * cap)
 
 
 def test_quantifier_scope_is_maximal():
@@ -140,6 +212,16 @@ def test_eval_ring_formula_examples():
 def test_eval_ring_formula_unbound_variable():
     with pytest.raises(ArityMismatchError):
         eval_ring_formula(parse_ring_formula("w1 = 0"), ZmodRing(3), {0: 1})
+
+
+def test_inner_quantifier_shadows_and_restores():
+    # the inner y shadows the outer one only inside its own scope
+    theta = parse_ring_formula("exists y ((exists y (y = 1)) and y = 0)")
+    assert eval_ring_formula(theta, ZmodRing(3), {})
+    # a quantified v0 shadows the free v0 only inside its own scope
+    psi = parse_boole_formula("(exists v0 (v0 = 1)) and v0 = 0")
+    assert eval_boole(psi, ("a", "b"), {0: frozenset()})
+    assert boole_arity(psi) == 1
 
 
 def test_eval_ring_formula_caps():
@@ -349,6 +431,29 @@ def test_family_from_json_kinds():
     )
     orders = [fam.stalks[i].order for i in fam.index_set]
     assert orders == [4, 4, 9, 4]
+
+
+def test_stalk_order_is_checked_before_construction():
+    for spec in (
+        {"kind": "Zmod", "m": 4096},
+        {"kind": "GF", "p": 2, "f": 12},
+        {"kind": "Unramified", "p": 2, "f": 3, "s": 4},
+        {"kind": "Eisenstein", "p": 2, "e": 2, "s": 12, "coeffs": [2, 0, 1]},
+    ):
+        assert stalk_from_spec(spec).order == 4096
+    assert stalk_from_spec({"kind": "GF", "p": 4093, "f": 1}).order == 4093
+    for spec in (
+        {"kind": "Zmod", "m": 4097},
+        {"kind": "GF", "p": 4099, "f": 1},
+        {"kind": "Unramified", "p": 2, "f": 1, "s": 13},
+        {"kind": "Unramified", "p": 3, "f": 1, "s": 10**8},
+        {"kind": "Eisenstein", "p": 3, "e": 2, "s": 10**9, "coeffs": [3, 0, 1]},
+    ):
+        with pytest.raises(ValueError, match="> 4096"):
+            stalk_from_spec(spec)
+    # a ring built directly is still checked by the family
+    with pytest.raises(ValueError, match="has order 4097"):
+        FiniteFamily(("a",), {"a": ZmodRing(4097)})
 
 
 def test_family_validation():

@@ -8,12 +8,14 @@ polygon and the F_q residual arithmetic were rewritten; it pins the
 Dedekind-cleared Kummer route and the one-level Newton route.  The fv-eval
 and adele-iso digests were recorded before the residue rings moved to flat
 coefficient lists; they pin the element codes of every stalk kind and the
-ramified residue-ring certificates.
+ramified residue-ring certificates.  The Boolean-quantifier digest was
+recorded before the ring and Boolean evaluators became one walk.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 
@@ -131,3 +133,57 @@ ADELE_PRESENTATION_PAIRS = (
 def test_adele_iso_output_of_presentation_pairs():
     argvs = [["adele-iso", f, g, "--format", "json"] for f, g in ADELE_PRESENTATION_PAIRS]
     assert _digest(argvs) == "52a7f4c6e3f06ff42de7582fb9d380829af9cef4f5a670f3b5aac39a89fd50fe"
+
+
+# Fourteen small stalks of all four kinds, chosen so that each ring template
+# below holds at some stalks and fails at others.
+FV_BOOLE_FAMILY = {
+    "index": ["z2", "z6", "z9", "z12", "z15", "g4", "g5", "g8", "g9", "u4", "u9", "u16", "e4", "e27"],
+    "stalks": {
+        "z2": {"kind": "Zmod", "m": 2},
+        "z6": {"kind": "Zmod", "m": 6},
+        "z9": {"kind": "Zmod", "m": 9},
+        "z12": {"kind": "Zmod", "m": 12},
+        "z15": {"kind": "Zmod", "m": 15},
+        "g4": {"kind": "GF", "p": 2, "f": 2},
+        "g5": {"kind": "GF", "p": 5, "f": 1},
+        "g8": {"kind": "GF", "p": 2, "f": 3},
+        "g9": {"kind": "GF", "p": 3, "f": 2},
+        "u4": {"kind": "Unramified", "p": 2, "f": 1, "s": 2},
+        "u9": {"kind": "Unramified", "p": 3, "f": 1, "s": 2},
+        "u16": {"kind": "Unramified", "p": 2, "f": 2, "s": 2},
+        "e4": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [-2, 0, 1]},
+        "e27": {"kind": "Eisenstein", "p": 3, "e": 2, "s": 3, "coeffs": [3, 0, 1]},
+    },
+}
+
+# The ring templates and the depth-1 and depth-2 Boolean templates of the
+# fv-eval benchmark workload.
+FV_RING_TEMPLATES = (
+    "forall y (y = 0 or exists z (y * z = 1))",
+    "forall y (y + y = 0)",
+    "forall y (y + y + y = 0)",
+    "forall y (y * y = 0 -> y = 0)",
+    "exists y (y * y = y and not (y = 0) and not (y = 1))",
+)
+FV_BOOLE_TEMPLATES = (
+    "exists v7 (v7 sub v0 and not (v7 = 0) and not (v7 = v0))",
+    "forall v7 (v7 sub v0 -> v7 sub v1)",
+    "exists v7 (v7 sub v0 and v7 sub v1 and not (v7 = 0))",
+    "forall v7 (not (v7 = v0) or exists v8 (v8 sub v1 and v7 sub v8))",
+    "forall v7 (not (v7 = v1) or exists v8 (v8 sub v7 and not (v8 = v7) and not (v8 = 0)))",
+    "exists v7 (v7 = v1 and forall v8 (v8 sub v0 -> not (v8 = v7) or v8 = 0))",
+)
+
+
+def test_fv_eval_output_of_boolean_quantifiers(tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FV_BOOLE_FAMILY))
+    argvs = [
+        ["fv-eval", "--family", str(family), "--psi", psi, "--theta", t0, "--theta", t1,
+         "--format", "json"]
+        for psi in FV_BOOLE_TEMPLATES
+        for t0, t1 in itertools.permutations(FV_RING_TEMPLATES, 2)
+    ]
+    assert len(argvs) == 120
+    assert _digest(argvs) == "b00171fb6c39a5e5d7eb534a1f063c27067e3bb7003c09dbb4d7018e0b5d1888"
