@@ -272,6 +272,7 @@ def _cmd_fv_eval(args) -> int:
         gen_product_eval,
         parse_boole_formula,
         parse_ring_formula,
+        ring_free_vars,
     )
 
     try:
@@ -287,8 +288,8 @@ def _cmd_fv_eval(args) -> int:
     if args.elements is not None:
         elements = _parse_elements(args.elements, family)
     else:
-        k = sentence.theta_arity()
-        elements = tuple({i: family.stalks[i].zero for i in family.index_set} for _ in range(k))
+        zeros = {i: family.stalks[i].zero for i in family.index_set}
+        elements = dict.fromkeys(frozenset().union(*map(ring_free_vars, thetas)), zeros)
     value = gen_product_eval(sentence, family, elements)
     _emit(args, ["true" if value else "false"], {"value": value})
     return EXIT_OK

@@ -14,11 +14,13 @@ constructions:
   substitution,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
-Isomorphism testing rejects fast on order/characteristic/invariant profiles,
-then tries images for a greedy generating set of the first ring.  An
-assignment is accepted when the subring of R1 x R2 generated by (0, 0),
-(1, 1) and the (generator, image) pairs is the graph of a bijection: being
-closed under add and mul, that graph is a ring isomorphism.
+Isomorphism testing rejects on order and characteristic, then tries images,
+filtered by additive order and idempotency, for a greedy generating set of
+the first ring.  An assignment is accepted when the subring of R1 x R2
+generated by (0, 0), (1, 1) and the (generator, image) pairs is the graph
+of a bijection: being closed under add and mul, that graph is a ring
+isomorphism.  This closure is the one isomorphism test: a given map is
+checked by running it from the map's images of the generators.
 """
 
 from __future__ import annotations
@@ -268,30 +270,6 @@ class PermutedRing(FiniteRing):
 # Isomorphism testing.
 
 
-def _invariant_profile(ring: FiniteRing, full: bool) -> tuple:
-    """Cheap isomorphism invariants: characteristic, additive orders,
-    idempotent and nilpotent counts; unit count only for small rings."""
-    char = ring.characteristic()
-    add_orders: dict[int, int] = {}
-    idem = 0
-    nilp = 0
-    log2 = ring.order.bit_length()
-    for a in ring.elements():
-        o = ring.additive_order(a)
-        add_orders[o] = add_orders.get(o, 0) + 1
-        if ring.mul(a, a) == a:
-            idem += 1
-        x = a
-        for _ in range(log2):
-            x = ring.mul(x, x)
-        if x == ring.zero:
-            nilp += 1
-    units = None
-    if full:
-        units = sum(1 for a in ring.elements() if ring.is_unit(a))
-    return (ring.order, char, tuple(sorted(add_orders.items())), idem, nilp, units)
-
-
 def _generators(ring: FiniteRing) -> list[int]:
     """Small generating set (as a unital ring) found greedily.
 
@@ -363,6 +341,17 @@ def _graph(
         i += 1
 
 
+def _is_isomorphism(ring1: FiniteRing, ring2: FiniteRing, mapping: dict[int, int]) -> bool:
+    """True when mapping is a ring isomorphism ring1 -> ring2: the closure
+    from its images of the generators of ring1 is mapping itself."""
+    if ring1.order != ring2.order or not all(0 <= v < ring2.order for v in mapping.values()):
+        return False
+    gens = _generators(ring1)
+    if any(g not in mapping for g in gens):
+        return False
+    return _graph(ring1, ring2, gens, tuple(mapping[g] for g in gens)) == mapping
+
+
 def _candidate_images(ring1: FiniteRing, ring2: FiniteRing, g: int) -> list[int]:
     o = ring1.additive_order(g)
     idem = ring1.mul(g, g) == g
@@ -406,19 +395,6 @@ def find_ring_isomorphism(
 def finite_ring_isomorphic(
     ring1: FiniteRing, ring2: FiniteRing, cap: int = DEFAULT_RING_ORDER_CAP
 ) -> bool:
-    """Decide isomorphism of two finite commutative rings.
-
-    Fast rejection on order, characteristic, additive-order profile,
-    idempotent/nilpotent counts and (for small rings) unit-group order,
-    then the generator-image search of find_ring_isomorphism.
-    """
-    if ring1.order > cap or ring2.order > cap:
-        raise RingCapExceededError(
-            f"ring order exceeds the cap {cap}; pass a larger cap explicitly"
-        )
-    if ring1 is ring2:
-        return True
-    full = ring1.order <= 4096
-    if _invariant_profile(ring1, full) != _invariant_profile(ring2, full):
-        return False
+    """Decide isomorphism of two finite commutative rings: whether the
+    complete search of find_ring_isomorphism finds one."""
     return find_ring_isomorphism(ring1, ring2, cap) is not None

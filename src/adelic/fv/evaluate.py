@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..finring import FiniteRing, find_ring_isomorphism
+from ..finring import FiniteRing, _is_isomorphism, find_ring_isomorphism
 from .family import MAX_INDEX_SET, MAX_STALK_ORDER, FiniteFamily
 from .formulas import (
     And,
@@ -40,10 +40,8 @@ from .formulas import (
     RVar,
     RingTerm,
     _var_key,
-    boole_arity,
     boole_free_vars,
     quantifier_depth,
-    ring_arity,
     ring_free_vars,
 )
 
@@ -76,8 +74,8 @@ class ArityMismatchError(ValueError):
 class GeneralizedSentence:
     """A Boolean-side formula psi applied to a tuple of ring formulas.
 
-    Well-formed when psi's free v-variables index into thetas and every theta's
-    free w-variables index into the global-element tuple it will be given.
+    Well-formed when psi's free v-variables index into thetas and every free
+    w-variable of every theta has a global element in what it will be given.
     """
 
     psi: Formula
@@ -86,14 +84,7 @@ class GeneralizedSentence:
     def __init__(self, psi, thetas):
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "thetas", tuple(thetas))
-        if boole_arity(psi) > len(self.thetas):
-            raise ArityMismatchError(
-                f"psi uses v{boole_arity(psi) - 1} but only "
-                f"{len(self.thetas)} ring formulas were supplied"
-            )
-
-    def theta_arity(self) -> int:
-        return max((ring_arity(t) for t in self.thetas), default=0)
+        _environment(boole_free_vars(psi), self.thetas, "Boolean variable v")
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +121,8 @@ def _holds(node: Formula, env: dict, atom, domain) -> bool:
 
 
 def _environment(free, assignment, name: str) -> dict:
-    """The values assignment gives the free variables; a missing one is an
-    arity mismatch."""
+    """The values assignment (a sequence or a dict) gives the free variables
+    that occur; a missing one is an arity mismatch."""
     env = {}
     for idx in free:
         try:
@@ -191,23 +182,18 @@ def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
 def theta_set(theta: Formula, family: FiniteFamily, elements) -> frozenset[str]:
     """The index set {i : stalk_i satisfies theta on the pointwise values}.
 
-    elements is the tuple of global elements (f_0, ..., f_{k-1}); each f_j
-    maps every index label to an element code of that stalk.
+    elements (a sequence or a dict) gives a global element f_j for each free
+    w-index j of theta, and f_j maps every index label to an element code of
+    that stalk.  Only the free indices are read.
     """
-    k = ring_arity(theta)
-    if k > len(elements):
-        raise ArityMismatchError(
-            f"theta has arity {k} but only {len(elements)} global elements were given"
-        )
+    env = _environment(ring_free_vars(theta), elements, "free variable w")
     hits = []
     for i in family.index_set:
         stalk = family.stalks[i]
-        local = {}
-        for j in range(len(elements)):
-            code = elements[j][i]
+        local = {j: f[i] for j, f in env.items()}
+        for code in local.values():
             if not 0 <= code < stalk.order:
                 raise ValueError(f"element code {code} is not in stalk {i!r}")
-            local[j] = code
         if eval_ring_formula(theta, stalk, local):
             hits.append(i)
     return frozenset(hits)
@@ -254,16 +240,12 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
 def gen_product_eval(sentence: GeneralizedSentence, family: FiniteFamily, elements=()) -> bool:
     """Evaluate psi([[theta_0]], ..., [[theta_{n-1}]]) over the family.
 
-    Arity compatibility is checked before any evaluation: psi's free
-    v-variables must index into the theta list, and every theta's free
-    w-variables must index into the global-element tuple.
+    Bindings are checked before any evaluation: psi's free v-variables must
+    index into the theta list, and elements (a sequence or a dict) must hold
+    a global element for every free w-variable of every theta.
     """
-    k = len(elements)
-    for j, theta in enumerate(sentence.thetas):
-        if ring_arity(theta) > k:
-            raise ArityMismatchError(
-                f"theta_{j} has arity {ring_arity(theta)} but {k} global elements were given"
-            )
+    for theta in sentence.thetas:
+        _environment(ring_free_vars(theta), elements, "free variable w")
     sets = [theta_set(theta, family, elements) for theta in sentence.thetas]
     return eval_boole(sentence.psi, family.index_set, dict(enumerate(sets)))
 
@@ -296,9 +278,11 @@ def preservation_check(
     """Evaluate closed generalized sentences over two families with isomorphic stalks.
 
     The stalk-wise isomorphisms are taken from witnesses or searched for
-    (stalk order capped at 64).  Sentences must be closed (every theta of
-    arity 0).  When the precondition fails the report says which indices
-    broke it; otherwise it lists per-sentence values over both families.
+    (stalk order capped at 64); a witness is accepted when the graph closure
+    from its images of the generators is the witness itself.  Sentences
+    must be closed (no theta has a free w-variable).  When the precondition
+    fails the report says which indices broke it; otherwise it lists
+    per-sentence values over both families.
     """
     if family1.index_set != family2.index_set:
         raise ValueError("families must share one index set")
@@ -319,8 +303,7 @@ def preservation_check(
         return PreservationReport(False, tuple(bad), (), False)
     results = []
     for sentence in sentences:
-        if sentence.theta_arity() != 0:
-            raise ArityMismatchError("preservation sentences must have closed thetas")
+        # No global elements, so an open theta is an arity mismatch.
         v1 = gen_product_eval(sentence, family1, ())
         v2 = gen_product_eval(sentence, family2, ())
         results.append((v1, v2))
@@ -328,17 +311,3 @@ def preservation_check(
         True, (), tuple(results), all(a == b for a, b in results)
     )
 
-
-def _is_isomorphism(r1: FiniteRing, r2: FiniteRing, mapping: dict[int, int]) -> bool:
-    if len(mapping) != r1.order or len(set(mapping.values())) != r1.order:
-        return False
-    if mapping.get(r1.zero) != r2.zero or mapping.get(r1.one) != r2.one:
-        return False
-    els = list(r1.elements())
-    for a in els:
-        for b in els:
-            if mapping[r1.add(a, b)] != r2.add(mapping[a], mapping[b]):
-                return False
-            if mapping[r1.mul(a, b)] != r2.mul(mapping[a], mapping[b]):
-                return False
-    return True

@@ -275,7 +275,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _is_ring_var(name: str) -> bool:
-    return name.startswith("w") and name[1:].isdigit()
+    return name.startswith("w") and name[1:].isdecimal()
 
 
 def _is_bound_name(name: str) -> bool:
@@ -283,7 +283,17 @@ def _is_bound_name(name: str) -> bool:
 
 
 def _is_boole_var(name: str) -> bool:
-    return name.startswith("v") and name[1:].isdigit()
+    return name.startswith("v") and name[1:].isdecimal()
+
+
+def _index(tok: _Token) -> int:
+    """The index k of a w<k> or v<k> name."""
+    try:
+        return int(tok.text[1:])
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        raise FormulaSyntaxError(
+            f"variable index of {len(tok.text) - 1} digits is too long", tok.line, tok.column
+        ) from None
 
 
 class _Parser:
@@ -351,11 +361,14 @@ class _Parser:
             return Not(self.parse_unary())
         if tok.kind == "kw" and tok.text in ("exists", "forall"):
             self.take()
-            var = self.take("name").text
+            name = self.take("name")
+            var = name.text
             if self.mode == "ring" and not _is_bound_name(var):
                 raise self._error(f"quantified ring variables are y/z names, got {var!r}")
             if self.mode == "boole" and not _is_boole_var(var):
                 raise self._error(f"quantified Boolean variables are v names, got {var!r}")
+            if self.mode == "boole":
+                _index(name)  # refuse here what _var_key could not convert
             outer = self.bound
             self.bound = outer | {var}
             body = self.parse_formula()
@@ -423,7 +436,7 @@ class _Parser:
         if tok.kind == "name":
             self.take()
             if _is_ring_var(tok.text):
-                return RVar(int(tok.text[1:]))
+                return RVar(_index(tok))
             if _is_bound_name(tok.text):
                 if tok.text not in self.bound:
                     raise FormulaSyntaxError(
@@ -478,7 +491,7 @@ class _Parser:
             raise FormulaSyntaxError(
                 f"Boolean variables are v<k> names, got {tok.text!r}", tok.line, tok.column
             )
-        return BVar(int(tok.text[1:]))
+        return BVar(_index(tok))
 
 
 def _parse(text: str, mode: str) -> Formula:

@@ -31,7 +31,6 @@ from .splitting import (
     NumberField,
     SplittingType,
     decompose,
-    good_prime_test,
     splitting_type,
 )
 
@@ -133,7 +132,7 @@ def degree_via_split_prime(K: NumberField, B: int) -> tuple[int, int] | None:
     if B < 2:
         raise ValueError("bound must be at least 2")
     for p in primes_up_to(B):
-        if not good_prime_test(K, p):
+        if K.poly_disc % p == 0:
             continue
         dec = decompose(K, p)
         if dec.is_resolved and all(e == 1 and f == 1 for e, f in dec.factors):
@@ -153,7 +152,7 @@ def aq_distinguisher(K: NumberField, B: int) -> tuple[int, ...]:
         raise ValueError("bound must be at least 2")
     hits = []
     for p in primes_up_to(B):
-        if not good_prime_test(K, p):
+        if K.poly_disc % p == 0:
             continue
         dec = decompose(K, p)
         if dec.is_resolved and dec.factors == ((1, 1),):
@@ -296,7 +295,7 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
     compared = 0
     witness = None
     for p in primes_up_to(B):
-        if not (good_prime_test(K, p) and good_prime_test(L, p)):
+        if K.poly_disc % p == 0 or L.poly_disc % p == 0:
             excluded.append(p)
             continue
         tk = splitting_type(decompose(K, p))
@@ -531,12 +530,12 @@ class AdeleIsoVerdict:
         }
 
 
-def _discriminant_cofactors(K: NumberField, L: NumberField, B: int) -> list[int]:
-    """Parts of either discriminant left after removing every prime <= B."""
+def _discriminant_cofactors(K: NumberField, L: NumberField, primes) -> list[int]:
+    """Parts of either discriminant left after removing the given primes."""
     leftovers = set()
     for disc in (K.poly_disc, L.poly_disc):
         n = abs(disc)
-        for p in primes_up_to(B):
+        for p in primes:
             while n % p == 0:
                 n //= p
         if n > 1:
@@ -583,7 +582,7 @@ def adele_iso_verdict(
         )
     # The sweep ran to B without a witness, so its excluded primes are
     # exactly the primes <= B that are bad for K or L.
-    leftovers = _discriminant_cofactors(K, L, B)
+    leftovers = _discriminant_cofactors(K, L, eq.excluded_primes)
     identical = K.min_poly == L.min_poly
     matching: list[MatchedLocalPair] = []
     unmatched: list[UnmatchedLocalDatum] = []

@@ -213,21 +213,48 @@ FV_INPUT_ERRORS = [
 ]
 
 
+# A variable index past the interpreter's int-conversion limit of 4,300 digits.
+LONG_INDEX = "9" * 5000
+
+
 @pytest.mark.parametrize(
-    "family, elements, theta",
-    # the family and element cases keep the ids they had without a theta
-    [pytest.param(family, elements, "w0 = w0", id=f"{family}-{elements}")
+    "family, elements, theta, psi",
+    # the earlier cases keep the ids they had without a theta or a psi
+    [pytest.param(family, elements, "w0 = w0", "v0 = 1", id=f"{family}-{elements}")
      for family, elements in FV_INPUT_ERRORS]
-    + [(FV_FAMILY, None, "y = 0"), (FV_FAMILY, None, "exists y (z = 0)")],
+    + [pytest.param(FV_FAMILY, None, theta, "v0 = 1", id=f"{FV_FAMILY}-None-{theta}")
+       for theta in ("y = 0", "exists y (z = 0)")]
+    + [pytest.param(FV_FAMILY, None, f"w{LONG_INDEX} = 0", "v0 = 1", id="long free w-index"),
+       pytest.param(FV_FAMILY, None, "w0 = 0", f"v{LONG_INDEX} = 1", id="long free v-index"),
+       pytest.param(FV_FAMILY, None, "w0 = 0", f"exists v{LONG_INDEX} (v0 sub v{LONG_INDEX})",
+                    id="long quantified v-index"),
+       # superscript digits pass str.isdigit but not int()
+       pytest.param(FV_FAMILY, None, "w\u00b2 = 0", "v0 = 1", id="superscript w-index"),
+       pytest.param(FV_FAMILY, None, "w0 = 0", "exists v\u00b2 (v0 = 1)", id="superscript v-index"),
+       pytest.param(FV_FAMILY, '[{"a": 1, "b": 1}]', "w1 = w0", "v0 = 1", id="elements lack w1"),
+       pytest.param(FV_FAMILY, '[{"a": 1, "b": 1}]', "w99999999999 = 0", "v0 = 1",
+                    id="elements lack w99999999999")],
 )
-def test_fv_eval_input_errors(tmp_path, capsys, family, elements, theta):
+def test_fv_eval_input_errors(tmp_path, capsys, family, elements, theta, psi):
     fam = tmp_path / "family.json"
     fam.write_text(family)
-    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", theta]
+    argv = ["fv-eval", "--family", str(fam), "--psi", psi, "--theta", theta]
     if elements is not None:
         argv += ["--elements", elements]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_fv_eval_binds_only_the_indices_that_occur(tmp_path, capsys):
+    """A large free index needs one default element, not one per smaller
+    index, so the run takes no time that grows with the index."""
+    fam = tmp_path / "family.json"
+    fam.write_text('{"index": ["a"], "stalks": {"a": {"kind": "Zmod", "m": 2}}}')
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 = 1",
+                       "--theta", "w99999999999 = 0")
+    assert code == 0 and out.strip() == "true"
+    assert time.perf_counter() - start < 3
 
 
 def test_fv_eval_unbound_variable_names_its_position(tmp_path, capsys):
@@ -493,6 +520,17 @@ def test_fuzz_fv_eval_exit_codes(tmp_path, capsys):
     for _ in range(80):
         cases.append(["--psi", "v0 = 1", "--theta", _fuzz_formula(rng, "ring")])
         cases.append(["--psi", _fuzz_formula(rng, "boole")] + thetas)
+    # Variable indices of 1 to 6,000 digits, free and quantified, on both
+    # sides of the interpreter's int-conversion limit of 4,300 digits.
+    index_rng = random.Random(4300)
+    lengths = (1, 2, 11, 4299, 4300, 4301, 6000) + tuple(index_rng.randint(1, 6000) for _ in range(8))
+    for digits in lengths:
+        k = "".join(index_rng.choices("0123456789", k=digits))
+        cases.append(["--psi", "v0 = 1", "--theta", f"w{k} = 0"])
+        cases.append(["--psi", "v0 = 1", "--theta", f"exists y (y * w{k} = w{k})"])
+        cases.append(["--psi", "v0 = 1", "--theta", f"exists w{k} (w{k} = 0)"])
+        cases.append(["--psi", f"v{k} sub v0"] + thetas)
+        cases.append(["--psi", f"forall v{k} (v{k} sub v{k} and v0 sub v1)"] + thetas)
     codes = []
     start = time.perf_counter()
     for argv in cases:

@@ -1,5 +1,6 @@
 """Tests for finite commutative rings and isomorphism testing."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,9 @@ from adelic.finring import (
     RingCapExceededError,
     ZmodRing,
     _candidate_images,
+    _generators,
+    _graph,
+    _is_isomorphism,
     find_ring_isomorphism,
     finite_ring_isomorphic,
 )
@@ -499,3 +503,101 @@ def test_find_ring_isomorphism_matches_reference_search():
         assert find_ring_isomorphism(a, b) == expected, (a, b)
         isomorphic += expected is not None
     assert 0 < isomorphic < len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism oracles: the checks the library made before the graph closure
+# became its one isomorphism test.  A witness is accepted when the closure
+# from its images of the generators is the witness itself; the full
+# addition and multiplication tables decide the same question.  The
+# invariant profile rejected non-isomorphic rings before the search.
+
+
+def reference_is_isomorphism(r1, r2, mapping):
+    if len(mapping) != r1.order or len(set(mapping.values())) != r1.order:
+        return False
+    if mapping.get(r1.zero) != r2.zero or mapping.get(r1.one) != r2.one:
+        return False
+    els = list(r1.elements())
+    for a in els:
+        for b in els:
+            if mapping[r1.add(a, b)] != r2.add(mapping[a], mapping[b]):
+                return False
+            if mapping[r1.mul(a, b)] != r2.mul(mapping[a], mapping[b]):
+                return False
+    return True
+
+
+def reference_invariant_profile(ring):
+    """Characteristic, additive orders, idempotent, nilpotent and unit counts."""
+    add_orders = {}
+    idem = nilp = 0
+    for a in ring.elements():
+        o = ring.additive_order(a)
+        add_orders[o] = add_orders.get(o, 0) + 1
+        idem += ring.mul(a, a) == a
+        x = a
+        for _ in range(ring.order.bit_length()):
+            x = ring.mul(x, x)
+        nilp += x == ring.zero
+    units = sum(1 for a in ring.elements() if ring.is_unit(a))
+    add_orders = tuple(sorted(add_orders.items()))
+    return (ring.order, ring.characteristic(), add_orders, idem, nilp, units)
+
+
+def automorphisms(ring):
+    gens = _generators(ring)
+    candidates = [_candidate_images(ring, ring, g) for g in gens]
+    graphs = (_graph(ring, ring, gens, images) for images in itertools.product(*candidates))
+    return [g for g in graphs if g is not None]
+
+
+def witness_cases(rng, r1):
+    """(r2, mapping) pairs: relabelings, automorphisms composed with a
+    relabeling, one-entry corruptions and swaps, maps of the wrong size and
+    random bijections onto rings of the same order."""
+    perm = list(range(r1.order))
+    rng.shuffle(perm)
+    r2 = PermutedRing(r1, perm)
+    relabel = {a: perm[a] for a in r1.elements()}
+    yield r2, relabel
+    for aut in automorphisms(r1):
+        yield r2, {a: perm[aut[a]] for a in r1.elements()}
+    a, b = rng.sample(range(r1.order), 2)
+    yield r2, {**relabel, a: relabel[b]}
+    yield r2, {**relabel, a: relabel[b], b: relabel[a]}
+    yield r2, {k: v for k, v in relabel.items() if k != a}
+    yield r2, {**relabel, r1.order: 0}
+    for other in (r1, r2):
+        image = list(range(r1.order))
+        rng.shuffle(image)
+        yield other, dict(zip(r1.elements(), image))
+
+
+def test_witness_closure_agrees_with_full_table_check():
+    rng = random.Random(16)
+    rings = [r for r in oracle_rings() if r.order <= 27]
+    kinds = {type(r) for r in rings}
+    # (ramified, f > 1, s > 1): GF, Unramified, Eisenstein and Eisenstein with f > 1
+    kinds |= {(r.e > 1, r.f > 1, r.s > 1) for r in rings if isinstance(r, LocalQuotientRing)}
+    assert {ZmodRing, LocalQuotientRing, PermutedRing} <= kinds
+    assert {(False, True, False), (False, False, True), (True, False, True), (True, True, True)} <= kinds
+    verdicts = []
+    for r1 in rings:
+        for r2, mapping in witness_cases(rng, r1):
+            expected = reference_is_isomorphism(r1, r2, mapping)
+            assert _is_isomorphism(r1, r2, mapping) == expected, (r1, r2, mapping)
+            verdicts.append(expected)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_differing_invariant_profiles_imply_not_isomorphic():
+    rings = oracle_rings() + list(order_four_rings().values())
+    profiles = [reference_invariant_profile(r) for r in rings]
+    differing = 0
+    for i, a in enumerate(rings):
+        for j, b in enumerate(rings):
+            if a.order == b.order and profiles[i] != profiles[j]:
+                assert not finite_ring_isomorphic(a, b), (a, b)
+                differing += 1
+    assert differing > 100

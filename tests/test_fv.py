@@ -62,6 +62,16 @@ def test_parse_errors_carry_position():
         parse_ring_formula("exists v0 (v0 = 0)")  # wrong variable kind
     with pytest.raises(ValueError):
         parse_ring_formula("y = 0")  # unbound quantified variable
+    # an index past the interpreter's int-conversion limit of 4,300 digits
+    long_index = "9" * 5000
+    for parse, text, column in (
+        (parse_ring_formula, f"w0 = w{long_index}", 6),
+        (parse_boole_formula, f"v0 sub v{long_index}", 8),
+        (parse_boole_formula, f"exists v{long_index} (v0 = 0)", 8),
+    ):
+        with pytest.raises(FormulaSyntaxError, match="too long") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +287,23 @@ def test_theta_set_boolean_homomorphism_random():
         assert theta_set(disj, fam, els) == s1 | s2
 
 
+def test_theta_set_binds_only_the_indices_that_occur():
+    """Only theta's free w-indices need a global element, in a sequence or a
+    dict; elements at other indices are not read."""
+    fam = zmod_family()
+    zeros = {"a": 0, "b": 0, "c": 0}
+    everything = frozenset(fam.index_set)
+    theta = parse_ring_formula("w99999999999 = 0")
+    assert theta_set(theta, fam, {99999999999: zeros}) == everything
+    assert theta_set(parse_ring_formula("w1 = 0"), fam, ({"a": 9}, zeros)) == everything
+    with pytest.raises(ArityMismatchError):
+        theta_set(theta, fam, (zeros,))
+    sentence = GeneralizedSentence(parse_boole_formula("v0 = 1"), (theta,))
+    assert gen_product_eval(sentence, fam, {99999999999: zeros})
+    with pytest.raises(ArityMismatchError):
+        gen_product_eval(sentence, fam, {0: zeros})
+
+
 # ---------------------------------------------------------------------------
 # Boolean-side evaluation.
 
@@ -338,6 +365,11 @@ def test_gen_product_arity_mismatch_reported_before_evaluation():
     g = GeneralizedSentence(parse_boole_formula("v0 = 1"), (parse_ring_formula("w1 = 0"),))
     with pytest.raises(ArityMismatchError):
         gen_product_eval(g, zmod_family(), ({"a": 0, "b": 0, "c": 0},))
+    # theta_0 would raise on the foreign code 9; theta_1's missing w5 is found first
+    thetas = (parse_ring_formula("w0 = 0"), parse_ring_formula("w5 = 0"))
+    g = GeneralizedSentence(parse_boole_formula("v0 = v1"), thetas)
+    with pytest.raises(ArityMismatchError):
+        gen_product_eval(g, zmod_family(), ({"a": 9, "b": 0, "c": 0},))
 
 
 def test_gen_product_atomic_matches_every_stalk_semantics():
@@ -400,6 +432,29 @@ def test_preservation_relabeled_stalks_50_sentences():
     assert report.precondition_ok
     assert report.all_agree
     assert len(report.results) == 50
+
+
+def test_preservation_witnesses_are_checked():
+    rng = random.Random(1959)
+    base = {"a": ZmodRing(4), "b": LocalQuotientRing(2, 1, 2, None, 1)}
+    perms = {label: rng.sample(range(ring.order), ring.order) for label, ring in base.items()}
+    relabeled = {label: PermutedRing(ring, perms[label]) for label, ring in base.items()}
+    f1 = FiniteFamily(("a", "b"), base)
+    f2 = FiniteFamily(("a", "b"), relabeled)
+    witnesses = {label: dict(enumerate(perm)) for label, perm in perms.items()}
+    report = preservation_check(f1, f2, closed_sentences(rng, 5), witnesses)
+    assert report.precondition_ok and report.all_agree
+    # swapping the images of 2 and 3 breaks 1 + 1 = 2 on Z/4
+    bad = dict(witnesses["a"])
+    bad[2], bad[3] = bad[3], bad[2]
+    report = preservation_check(f1, f2, [], {**witnesses, "a": bad})
+    assert not report.precondition_ok
+    assert report.nonisomorphic_indices == ("a",)
+    # the embedding of F_2 into F_4 preserves add and mul but is not onto
+    small = FiniteFamily(("a",), {"a": ZmodRing(2)})
+    large = FiniteFamily(("a",), {"a": LocalQuotientRing(2, 1, 2, None, 1)})
+    report = preservation_check(small, large, [], {"a": {0: 0, 1: large.stalks["a"].one}})
+    assert not report.precondition_ok
 
 
 def test_preservation_precondition_failure_reported():
