@@ -117,33 +117,21 @@ def _divmod_monic(a: list[int], b: list[int], m: int | None) -> tuple[list[int],
         raise ZeroDivisionError("division by the zero polynomial")
     if b[-1] != 1:
         raise ValueError("divisor must be monic")
+    # A dividend of lower degree comes back as given; otherwise only each
+    # leading coefficient is reduced as it is taken, and the remainder at the end.
     r = list(a)
     db = len(b) - 1
-    if len(r) - 1 < db:
+    if len(r) <= db:
         return [], _trim(r)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] if m is None else r[i] % m
-        if c == 0:
-            continue
-        q[i - db] = c
-        for j in range(db + 1):
-            r[i - db + j] -= c * b[j]
-            if m is not None:
-                r[i - db + j] %= m
-    return _trim(q), _trim(r)
-
-
-def _divmod_modp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division with remainder over the field Z/p (divisor need not be monic)."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if b[-1] == 1:
-        return _divmod_monic(a, b, p)
-    lc_inv = pow(b[-1], p - 2, p)
-    b = _trim([c * lc_inv % p for c in b])
-    q, r = _divmod_monic(a, b, p)
-    return _trim([c * lc_inv % p for c in q]), r
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    del r[db:]
+    return _trim(q), _trim(r if m is None else [v % m for v in r])
 
 
 def _monic_modp(a: list[int], p: int) -> list[int]:
@@ -155,8 +143,8 @@ def _monic_modp(a: list[int], p: int) -> list[int]:
 
 def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        _, r = _divmod_modp(a, b, p)
-        a, b = b, r
+        b = _monic_modp(b, p)
+        a, b = b, _divmod_monic(a, b, p)[1]
     return _monic_modp(a, p)
 
 
@@ -167,16 +155,69 @@ def _deriv(a: list[int], m: int | None) -> list[int]:
     return _trim(out)
 
 
+class _Packed:
+    """Products in F_p[x]/(f), f monic of degree n >= 1, on packed integers.
+
+    An element is one int: coefficient k, in [0, p), sits in bits
+    [k*w, (k+1)*w) (Kronecker substitution; von zur Gathen & Gerhard, Modern
+    Computer Algebra, 8.4).  A slot of w bits holds any value below 2n*p^2,
+    which bounds the n partial products of a slot of a product plus its
+    n - 1 reduction terms, so no carry crosses a slot.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        self.n, self.p, self.w = n, p, (2 * n * p * p).bit_length()
+        self.mask = (1 << self.w) - 1
+        # The reduction table: x^k mod f for k = n ... 2n-2, each x times the last.
+        row = [-c % p for c in f[:-1]]
+        self.table = []
+        for _ in range(n - 1):
+            self.table.append(self.pack(row))
+            row = [(s - row[-1] * c) % p for s, c in zip([0] + row[:-1], f)]
+
+    def pack(self, a: list[int]) -> int:
+        v = 0
+        for c in reversed(a):
+            v = v << self.w | c
+        return v
+
+    def unpack(self, v: int) -> list[int]:
+        """Coefficient list of v, every slot reduced mod p."""
+        w, mask, p = self.w, self.mask, self.p
+        return _trim([(v >> s & mask) % p for s in range(0, self.n * w, w)])
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b mod f: one big-int product, each high slot reduced mod p
+        and folded back through the table, then every slot reduced mod p."""
+        w, mask, p = self.w, self.mask, self.p
+        c = a * b
+        acc = c & (1 << self.n * w) - 1
+        c >>= self.n * w
+        for row in self.table:
+            top = (c & mask) % p
+            if top:
+                acc += top * row
+            c >>= w
+        out = 0
+        for s in range((self.n - 1) * w, -1, -w):
+            out = out << w | (acc >> s & mask) % p
+        return out
+
+    def pow(self, a: int, exp: int) -> int:
+        result = self.pack([1])
+        while exp > 0:
+            if exp & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            exp >>= 1
+        return result
+
+
 def _powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    """base**exp modulo the polynomial mod, coefficients mod the prime p."""
-    result = [1]
-    base = _divmod_modp(base, mod, p)[1]
-    while exp > 0:
-        if exp & 1:
-            result = _divmod_modp(_mul(result, base, p), mod, p)[1]
-        base = _divmod_modp(_mul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
+    """base**exp modulo the monic polynomial mod, coefficients mod the prime p."""
+    k = _Packed(mod, p)
+    return k.unpack(k.pow(k.pack([c % p for c in _divmod_monic(base, mod, p)[1]]), exp))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +417,9 @@ class ModPoly:
         if other.is_monic:
             q, r = _divmod_monic(list(self.coeffs), list(other.coeffs), m)
         elif is_prime(m):
-            q, r = _divmod_modp(list(self.coeffs), list(other.coeffs), m)
+            # Divide by the monic multiple b / lc(b), then scale the quotient by 1 / lc(b).
+            q, r = _divmod_monic(list(self.coeffs), _monic_modp(list(other.coeffs), m), m)
+            q = _mul(q, [pow(other.coeffs[-1], m - 2, m)], m)
         else:
             raise ValueError("division by a non-monic divisor requires a prime modulus")
         return ModPoly(m, q), ModPoly(m, r)
@@ -569,15 +612,15 @@ def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
             scale *= p
             continue
         g = _gcd_modp(f, d, p)
-        w = _divmod_modp(f, g, p)[0]
+        w = _divmod_monic(f, g, p)[0]
         i = 1
         while len(w) > 1:
             y = _gcd_modp(w, g, p)
-            z = _divmod_modp(w, y, p)[0]
+            z = _divmod_monic(w, y, p)[0]
             if len(z) > 1:
                 out.append((z, i * scale))
             w = y
-            g = _divmod_modp(g, y, p)[0]
+            g = _divmod_monic(g, y, p)[0]
             i += 1
         f = g
     return out
@@ -599,23 +642,19 @@ def _is_squarefree_modp(a: list[int], p: int) -> bool:
     return len(_gcd_modp(a, _deriv(a, p), p)) == 1
 
 
-def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
-    """Rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p on F_p[x]/(f)."""
-    xp = _powmod([0, 1], p, f, p)
-    rows = [[1]]
-    for _ in range(len(f) - 2):
-        rows.append(_divmod_monic(_mul(rows[-1], xp, p), f, p)[1])
+def _frobenius_rows(k: _Packed) -> list[int]:
+    """Packed rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p on
+    F_p[x]/(f), with k the kernel for (f, p)."""
+    xp = k.pow(k.pack([0, 1]), k.p) if k.n > 1 else 0
+    rows = [k.pack([1])]
+    for _ in range(k.n - 1):
+        rows.append(k.mul(rows[-1], xp))
     return rows
 
 
-def _frobenius(h: list[int], rows: list[list[int]], p: int) -> list[int]:
-    """h^p modulo f, as the sum of h_i * rows[i] with rows = _frobenius_rows(f, p)."""
-    acc = [0] * len(rows)
-    for c, row in zip(h, rows):
-        if c:
-            for j, r in enumerate(row):
-                acc[j] += c * r
-    return _trim([c % p for c in acc])
+def _frobenius(h: list[int], rows: list[int], k: _Packed) -> list[int]:
+    """h^p modulo f, as the sum of h_i * rows[i] with rows = _frobenius_rows(k)."""
+    return k.unpack(sum(c * row for c, row in zip(h, rows)))
 
 
 def _distinct_degree_parts(v: list[int], p: int):
@@ -628,16 +667,17 @@ def _distinct_degree_parts(v: list[int], p: int):
     Once v has no factor of degree <= d and degree below 2(d+1), it is
     irreducible.
     """
-    rows = _frobenius_rows(v, p) if len(v) > 2 else []
+    k = _Packed(v, p)
+    rows = _frobenius_rows(k)
     h = [0, 1]
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frobenius(h, rows, p)
+        h = _frobenius(h, rows, k)
         g = _gcd_modp(_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             yield d, g
-            v = _divmod_modp(v, g, p)[0]
+            v = _divmod_monic(v, g, p)[0]
     if len(v) > 1:
         yield len(v) - 1, v
 
@@ -702,7 +742,7 @@ def _edf(f: list[int], d: int, p: int, rng: _Lcg) -> list[list[int]]:
                 t = a
                 acc = a
                 for _ in range(d - 1):
-                    acc = _divmod_modp(_mul(acc, acc, p), f, p)[1]
+                    acc = _divmod_monic(_mul(acc, acc, p), f, p)[1]
                     t = _add(t, acc, p)
             else:
                 b = _powmod(a, (p**d - 1) // 2, f, p)
@@ -710,7 +750,7 @@ def _edf(f: list[int], d: int, p: int, rng: _Lcg) -> list[list[int]]:
             h = _gcd_modp(t, f, p)
             if not (1 <= len(h) - 1 < n):
                 continue
-        rest = _divmod_modp(f, h, p)[0]
+        rest = _divmod_monic(f, h, p)[0]
         return _edf(h, d, p, rng) + _edf(rest, d, p, rng)
 
 

@@ -10,8 +10,8 @@ constructions:
   valuation ring of a local field with ramification index e and residue
   degree f; the totally ramified part is presented by a monic Eisenstein
   polynomial (not needed when e == 1).  An element is one flat list of
-  coefficients, multiplied with exactpoly's univariate kernel by Kronecker
-  substitution,
+  coefficients, multiplied with exactpoly's schoolbook list product by
+  Kronecker substitution,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
 Isomorphism testing rejects on order and characteristic, then tries images,

@@ -27,6 +27,7 @@ from adelic.exactpoly import (
     squarefree_decomposition,
     sturm_real_roots,
 )
+from adelic.exactpoly import _mul, _trim
 from adelic.primes import is_prime, primes_up_to
 
 P = parse_int_poly
@@ -431,32 +432,129 @@ def test_ddf_against_sympy_factor_list():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(41)
+    cases = [(p, degree) for p in DDF_PRIMES for degree in range(1, 13)]
+    # Large degrees, where the packed kernel's slots are widest; sympy takes
+    # about 1.2 s of this test's time at degree 64 modulo 10**18 + 3.
+    cases += [(p, degree) for p in (2, 10007, 10**18 + 3) for degree in (16, 32, 64)]
+    for p, degree in cases:
+        f = _random_squarefree(rng, p, degree)
+        expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+        want: dict[int, int] = {}
+        for g, _ in sympy.Poly(expr, x, modulus=p).factor_list()[1]:
+            d = sympy.Poly(g, x).degree()
+            want[d] = want.get(d, 0) + 1
+        assert ddf(f) == want, (p, f)
+
+
+def reference_divmod_monic(a: list[int], b: list[int], m):
+    """Division by a monic b that reduces every coefficient as it changes:
+    the schoolbook kernel, kept as the oracle for deferred reduction."""
+    r = list(a)
+    db = len(b) - 1
+    if len(r) - 1 < db:
+        return [], _trim(r)
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] if m is None else r[i] % m
+        if c == 0:
+            continue
+        q[i - db] = c
+        for j in range(db + 1):
+            r[i - db + j] -= c * b[j]
+            if m is not None:
+                r[i - db + j] %= m
+    return _trim(q), _trim(r)
+
+
+def reference_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
+    """base**exp mod (mod, p) by schoolbook square-and-multiply on coefficient lists."""
+    result = [1]
+    base = reference_divmod_monic(base, mod, p)[1]
+    while exp > 0:
+        if exp & 1:
+            result = reference_divmod_monic(_mul(result, base, p), mod, p)[1]
+        base = reference_divmod_monic(_mul(base, base, p), mod, p)[1]
+        exp >>= 1
+    return result
+
+
+def reference_frobenius_rows(f: list[int], p: int) -> list[list[int]]:
+    """Rows x^(i*p) mod f for i < deg f, from the schoolbook x^p."""
+    xp = reference_powmod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(reference_divmod_monic(_mul(rows[-1], xp, p), f, p)[1])
+    return rows
+
+
+def test_packed_kernel_matches_schoolbook_oracle():
+    from adelic.exactpoly import _frobenius, _frobenius_rows, _Packed, _powmod
+
+    def check_product(f, a, b, p):
+        k = _Packed(f, p)
+        want = reference_divmod_monic(_mul(a, b, p), f, p)[1]
+        assert k.unpack(k.mul(k.pack(a), k.pack(b))) == want, (p, f, a, b)
+        return k
+
+    # Found by search: here the fold lifts a slot past n*p^2 (to 256 > 245
+    # and 624 > 507), so a slot sized for the product alone would carry.
+    check_product([3, 2, 5, 6, 1, 1], [6, 6, 6, 6, 4], [6] * 5, 7)
+    check_product([3, 2, 1, 1], [12, 12, 11], [12, 10, 7], 13)
+    rng = random.Random(47)
     for p in DDF_PRIMES:
-        for degree in range(1, 13):
-            f = _random_squarefree(rng, p, degree)
-            expr = sum(c * x**i for i, c in enumerate(f.coeffs))
-            want: dict[int, int] = {}
-            for g, _ in sympy.Poly(expr, x, modulus=p).factor_list()[1]:
-                d = sympy.Poly(g, x).degree()
-                want[d] = want.get(d, 0) + 1
-            assert ddf(f) == want, (p, f)
+        for n in range(1, MAX_DEGREE + 1):
+            # All-(p - 1) factors modulo an f whose x^n mod f has every
+            # coefficient p - 1, then a random case.
+            check_product([1] * (n + 1), [p - 1] * n, [p - 1] * n, p)
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            k = check_product(f, *([rng.randrange(p) for _ in range(n)] for _ in "ab"), p)
+            # The schoolbook oracle costs O(n^2) per product, so powers and
+            # rows are checked at every degree to 12 and at 16, 32 and 64.
+            if n > 12 and n not in (16, 32, 64):
+                continue
+            # An unreduced, partly negative base of any degree below 2n.
+            base = [rng.randint(-(p**2), p**2) for _ in range(rng.randint(0, 2 * n))]
+            exp = rng.randrange(2 * p)
+            assert _powmod(base, exp, f, p) == reference_powmod(base, exp, f, p), (p, f)
+            rows = _frobenius_rows(k)
+            assert [k.unpack(r) for r in rows] == reference_frobenius_rows(f, p), (p, f)
+            h = _trim([rng.randrange(p) for _ in range(n)])
+            assert _frobenius(h, rows, k) == reference_powmod(h, p, f, p), (p, f)
+
+
+def test_divmod_monic_defers_reduction_without_changing_results():
+    from adelic.exactpoly import _divmod_monic
+
+    rng = random.Random(53)
+    for m in (None, 10007, 3**5, 2**64, 10**18 + 3):
+        bound = 10**20 if m is None else 3 * m
+        for _ in range(300):
+            b = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 8))] + [1]
+            a = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 18))]
+            q, r = _divmod_monic(a, b, m)
+            want_q, want_r = reference_divmod_monic(a, b, m)
+            if m is None or len(a) < len(b):  # nothing to divide: a comes back as given
+                assert (q, r) == (want_q, want_r)
+            else:
+                assert q == want_q
+                assert r == _trim([c % m for c in want_r])
 
 
 def _per_degree_powmod_parts(v: list[int], p: int):
     """The distinct-degree stage with a fresh x^(p^d) = (x^(p^(d-1)))^p by
     square-and-multiply at every degree, as an independent slow path."""
-    from adelic.exactpoly import _divmod_modp, _gcd_modp, _powmod, _sub
+    from adelic.exactpoly import _divmod_monic, _gcd_modp, _sub
 
     h = [0, 1]
     d = 0
     while len(v) - 1 > 2 * d:
         d += 1
-        h = _powmod(h, p, v, p)
+        h = reference_powmod(h, p, v, p)
         g = _gcd_modp(_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             yield d, g
-            v = _divmod_modp(v, g, p)[0]
-            h = _divmod_modp(h, v, p)[1]
+            v = _divmod_monic(v, g, p)[0]
+            h = _divmod_monic(h, v, p)[1]
     if len(v) > 1:
         yield len(v) - 1, v
 
