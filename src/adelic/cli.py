@@ -85,16 +85,19 @@ def _load_field(arg: str):
     from_file = os.path.exists(arg)
     if from_file:
         poly_text = None
-        with open(arg, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("label:"):
-                    label = line[len("label:") :].strip()
-                    continue
-                poly_text = line
-                break
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if line.startswith("label:"):
+                        label = line[len("label:") :].strip()
+                        continue
+                    poly_text = line
+                    break
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _CliError(f"cannot read field file: {exc}", EXIT_PARSE) from exc
         if poly_text is None:
             raise _CliError(f"{arg}: no polynomial line found", EXIT_PARSE)
     try:
@@ -488,6 +491,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_PARSE
     try:
+        # spectrum, invariants, equiv and adele-iso sweep the primes up to --bound
+        if getattr(args, "bound", 2) < 2:
+            raise _CliError(f"bound must be at least 2, got {args.bound}", EXIT_PARSE)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,12 +74,7 @@ class FiniteRing:
         raise NotImplementedError
 
     def characteristic(self) -> int:
-        n = 1
-        acc = self.one
-        while acc != self.zero:
-            acc = self.add(acc, self.one)
-            n += 1
-        return n
+        return self.additive_order(self.one)
 
     def additive_order(self, a: int) -> int:
         n = 1

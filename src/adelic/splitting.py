@@ -2,12 +2,16 @@
 
 For a field K = Q[x]/(f) and a rational prime p, the decomposition
 p*O_K = P_1^e_1 ... P_g^e_g is reported as the list of pairs
-(e_i, f_i) = (ramification index, residue degree).  Primes not dividing the
-discriminant of f (and, more generally, primes not dividing the index
-[O_K : Z[alpha]], detected by the Dedekind criterion) are handled by
-factoring f mod p.  The remaining primes go through a one-level Newton
-polygon analysis with exact valuations; if some residual polynomial is
-inseparable the result is reported as Undetermined rather than guessed.
+(e_i, f_i) = (ramification index, residue degree).  Every prime takes one
+route.  Each part of multiplicity one of f mod p gives an unramified pair per
+irreducible factor, counted by the distinct-degree stage; at a prime not
+dividing the discriminant of f, f mod p is that one part.  Each irreducible
+phi of a repeated part gives a phi-adic Newton polygon with exact valuations.
+When every such polygon has height one, p does not divide the index
+[O_K : Z[alpha]] and the answer is Kummer's: (multiplicity, deg phi) for each
+phi.  Otherwise each side is analysed through its residual polynomial; if some
+residual polynomial is inseparable the result is reported as Undetermined
+rather than guessed.
 
 Everything here is a pure function over immutable values.  Decompositions are
 cached per (coefficient sequence, prime) in a bounded least-recently-used
@@ -19,18 +23,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactpoly import (
     IntPoly,
+    derive_seed,
     discriminant,
-    factor_modp,
     parse_int_poly,
+    _Lcg,
     _add,
     _distinct_degree_parts,
     _divmod_monic,
-    _gcd_modp,
+    _edf,
     _mul,
     _powmod,
     _squarefree_parts,
@@ -222,7 +227,7 @@ def splitting_type(d: PrimeDecomposition) -> SplittingType:
 
 
 # ---------------------------------------------------------------------------
-# Good primes and Kummer factorization.
+# Good primes.
 
 
 def good_prime_test(K: NumberField, p: int) -> bool:
@@ -230,74 +235,6 @@ def good_prime_test(K: NumberField, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return K.poly_disc % p != 0
-
-
-def _reduce(K: NumberField, p: int) -> list[int]:
-    """The defining polynomial mod p (monic, so no coefficient is trimmed)."""
-    return [c % p for c in K.min_poly.coeffs]
-
-
-def _divides_index(K: NumberField, p: int, parts: list[tuple[list[int], int]]) -> bool:
-    """Dedekind criterion on the squarefree parts of the defining polynomial mod p."""
-    g_bar = [1]
-    h_bar = [1]
-    for poly, mult in parts:
-        g_bar = _mul(g_bar, poly, p)
-        for _ in range(mult - 1):
-            h_bar = _mul(h_bar, poly, p)
-    diff = IntPoly(g_bar) * IntPoly(h_bar) - K.min_poly
-    t_coeffs = []
-    for c in diff.coeffs:
-        if c % p != 0:
-            raise AssertionError("internal error: g*h does not reduce to f mod p")
-        t_coeffs.append((c // p) % p)
-    t_bar = _trim(t_coeffs)
-    common = _gcd_modp(_gcd_modp(g_bar, h_bar, p), t_bar, p)
-    return len(common) - 1 >= 1
-
-
-def dedekind_index_test(K: NumberField, p: int) -> bool:
-    """True iff p divides the index [O_K : Z[alpha]] (Dedekind criterion).
-
-    With f = g*h + p*T where g lifts the radical of f mod p and h lifts the
-    cofactor, p divides the index exactly when gcd(T, g, h) mod p is
-    nonconstant.  When this returns False, factoring f mod p still gives the
-    correct decomposition even though p divides disc(f).
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _divides_index(K, p, _squarefree_parts(_reduce(K, p), p))
-
-
-def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
-    """Decomposition of p by factoring the defining polynomial mod p.
-
-    Valid when p is a good prime, and extended to bad primes that the
-    Dedekind criterion shows do not divide the index.  Each irreducible
-    factor of multiplicity e and degree f contributes the pair (e, f); the
-    pairs come from the distinct-degree counts of each squarefree part, so
-    no factor is split out.  At a good prime f mod p is itself squarefree
-    and is the only part.  Raises BadPrimeError instead of returning a
-    possibly wrong answer.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f_bar = _reduce(K, p)
-    if K.poly_disc % p:
-        parts = [(f_bar, 1)]
-    else:
-        parts = _squarefree_parts(f_bar, p)
-        if _divides_index(K, p, parts):
-            raise BadPrimeError(
-                f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
-            )
-    pairs = [
-        (mult, d)
-        for part, mult in parts
-        for d, g in _distinct_degree_parts(part, p)
-        for _ in range((len(g) - 1) // d)
-    ]
-    return _resolved(p, pairs, METHOD_KUMMER, K.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +386,7 @@ def _fqp_ddf(a: list, phi: list[int], p: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# One-level Newton polygon (Ore) analysis.
-
-
-class _IrregularCase(Exception):
-    """Internal: the one-level analysis cannot resolve this prime."""
+# One route per prime: phi-adic Newton polygons, of height one in Kummer's case.
 
 
 def _phi_expansion(f: IntPoly, phi: IntPoly, upto: int) -> list[IntPoly]:
@@ -472,14 +405,15 @@ def _gauss_valuation(a: IntPoly, p: int) -> int | None:
 
 
 def _residual_factor_degrees(
-    a_list: list[IntPoly], vals: list[int | None], phi: list[int], p: int
-) -> list[tuple[int, int]]:
-    """(e, residual-degree * deg phi) pairs from every side of the principal polygon.
+    a_list: list[IntPoly], vals: list[int | None], phi: list[int], p: int,
+    pairs: list[tuple[int, int]],
+) -> str | None:
+    """Append to pairs (e, residual-degree * deg phi) from every side of the
+    principal polygon; return why the one-level analysis stops, or None.
 
     Each a_j has degree below deg phi, so a_j / p^v reduced mod p is already
     an element of F_q.
     """
-    pairs: list[tuple[int, int]] = []
     for x, y, side in _sides(vals):
         h, e = side.slope.numerator, side.slope.denominator
         residual = [
@@ -489,53 +423,113 @@ def _residual_factor_degrees(
             for j in range(side.length // e + 1)
         ]
         if not _fqp_is_separable(residual, phi, p):
-            raise _IrregularCase(
-                f"inseparable residual polynomial on the slope {h}/{e} side"
-            )
+            return f"inseparable residual polynomial on the slope {h}/{e} side"
         for rd, count in _fqp_ddf(residual, phi, p).items():
             pairs.extend([(e, rd * (len(phi) - 1))] * count)
-    return pairs
+    return None
 
 
-def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
-    """One-level Newton polygon decomposition of p in K.
+def _decompose(K: NumberField, p: int) -> PrimeDecomposition:
+    """Decomposition of the prime p in K by the one route of this module.
 
-    For each distinct irreducible factor phi of the defining polynomial mod
-    p, the phi-adic Newton polygon is computed; the phi-adic expansion is
-    exact over Z, so every valuation is exact.  In the regular case (all
-    residual polynomials separable) each side of slope h/e and each
-    irreducible residual factor of degree d contributes (e, d*deg(phi)).
-    Agrees with Kummer factorization on good primes.  Returns Undetermined
-    when some residual polynomial is inseparable (deeper analysis is out of
-    scope) or when a lift of phi divides the defining polynomial, which is
-    then reducible.
+    A good prime has no repeated part, so the distinct-degree counts are its
+    whole answer.  Only a bad prime splits f mod p into squarefree parts, and
+    only their repeated parts into irreducibles phi, sorted in factor_modp's
+    (degree, coefficients, multiplicity) order so that an Undetermined reason
+    is that of the least phi that stops.  A phi of multiplicity k whose
+    polygon has height one, v_p(a_0) = 1, has one side of slope 1/k and a
+    linear residual polynomial, so it gives (k, deg phi).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f = K.min_poly
-    pairs: list[tuple[int, int]] = []
-    try:
-        for phibar, mult in factor_modp(f.reduce_mod(p)):
-            if mult == 1:
-                # Multiplicity-one factors lift by Hensel's lemma: unramified,
-                # residue degree = deg(phi).
-                pairs.append((1, phibar.degree))
-                continue
-            phi = phibar.lift()
-            a_list = _phi_expansion(f, phi, mult)
-            vals = [_gauss_valuation(a, p) for a in a_list]
-            if vals[0] is None:
-                raise _IrregularCase(
-                    f"{phi.to_text()} divides the defining polynomial, which is reducible"
-                )
+    f_bar = [c % p for c in K.min_poly.coeffs]  # monic, so nothing to trim
+    good = K.poly_disc % p != 0
+    parts = [(f_bar, 1)] if good else _squarefree_parts(f_bar, p)
+    pairs = [
+        (1, d)
+        for part, mult in parts
+        if mult == 1
+        for d, g in _distinct_degree_parts(part, p)
+        for _ in range((len(g) - 1) // d)
+    ]
+    if good:
+        return _resolved(p, pairs, METHOD_KUMMER, K.degree)
+    repeated = []
+    for part, mult in parts:
+        if mult > 1:
+            rng = _Lcg(derive_seed(p, tuple(f_bar)))
+            repeated += [
+                (phi, mult) for d, g in _distinct_degree_parts(part, p) for phi in _edf(g, d, p, rng)
+            ]
+    repeated.sort(key=lambda t: (len(t[0]), t[0], t[1]))
+    polygons = []
+    for phi, mult in repeated:
+        a_list = _phi_expansion(K.min_poly, IntPoly(phi), mult)
+        polygons.append((phi, mult, a_list, [_gauss_valuation(a, p) for a in a_list]))
+    if all(vals[0] == 1 for *_, vals in polygons):
+        pairs.extend((mult, len(phi) - 1) for phi, mult, _, _ in polygons)
+        return _resolved(p, pairs, METHOD_KUMMER, K.degree)
+    for phi, mult, a_list, vals in polygons:
+        if vals[0] is None:
+            reason = f"{IntPoly(phi).to_text()} divides the defining polynomial, which is reducible"
+        else:
             if vals[mult] != 0:
                 raise AssertionError("internal error: phi-multiplicity endpoint must be a unit")
             if any(v == 0 for v in vals[:mult]):
                 raise AssertionError("internal error: interior expansion coefficients must vanish mod p")
-            pairs.extend(_residual_factor_degrees(a_list, vals, list(phibar.coeffs), p))
-    except _IrregularCase as exc:
-        return PrimeDecomposition(p, UNDETERMINED, None, METHOD_NEWTON, reason=str(exc))
+            reason = _residual_factor_degrees(a_list, vals, phi, p, pairs)
+        if reason:
+            return PrimeDecomposition(p, UNDETERMINED, None, METHOD_NEWTON, reason=reason)
     return _resolved(p, pairs, METHOD_NEWTON, K.degree)
+
+
+def dedekind_index_test(K: NumberField, p: int) -> bool:
+    """True iff p divides the index [O_K : Z[alpha]] (Dedekind criterion).
+
+    In polygon terms: p divides the index exactly when some irreducible phi
+    of multiplicity at least 2 in f mod p has v_p(f mod phi) >= 2, that is,
+    when some phi-adic polygon is not one side of height one.  (With
+    f = g*h + p*T, g lifting the radical of f mod p and h the cofactor,
+    f mod phi = p*T mod (phi, p^2), so this is phi | gcd(g, h, T) mod p.)
+    When this returns False, factoring f mod p gives the decomposition even
+    though p may divide disc(f).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _decompose(K, p).method == METHOD_NEWTON
+
+
+def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
+    """Decomposition of p by factoring the defining polynomial mod p.
+
+    Valid when p does not divide the index [O_K : Z[alpha]], which covers
+    every good prime: each irreducible factor of multiplicity e and degree f
+    contributes the pair (e, f).  Raises BadPrimeError at an index divisor
+    instead of returning a possibly wrong answer.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    dec = _decompose(K, p)
+    if dec.method == METHOD_NEWTON:
+        raise BadPrimeError(
+            f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
+        )
+    return dec
+
+
+def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
+    """Decomposition of p in K from its phi-adic Newton polygons, labelled
+    NewtonPolygon.
+
+    In the regular case (all residual polynomials separable) each side of
+    slope h/e and each irreducible residual factor of degree d contributes
+    (e, d*deg(phi)), and each simple factor phi of f mod p lifts to
+    (1, deg(phi)); this is Kummer's answer wherever that applies.  Returns
+    Undetermined when some residual polynomial is inseparable (deeper
+    analysis is out of scope) or when a lift of phi divides the defining
+    polynomial, which is then reducible.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return replace(_decompose(K, p), method=METHOD_NEWTON)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +551,12 @@ def clear_decomposition_cache() -> None:
 
 
 def decompose(K: NumberField, p: int) -> PrimeDecomposition:
-    """Decomposition of p in K: Kummer where valid, Newton polygon otherwise.
+    """Decomposition of p in K, labelled Kummer or NewtonPolygon.
 
-    Kummer factorization is used for good primes and for discriminant
-    divisors that the Dedekind criterion clears; index divisors go through
-    the one-level Newton polygon analysis.  Unresolvable cases come back as
-    Undetermined with a reason, never as a wrong Resolved value.  Where
-    Kummer factorization applies, the primality of p is checked once.
+    Good primes and discriminant divisors that Dedekind's criterion clears
+    are labelled Kummer; index divisors NewtonPolygon.  Unresolvable cases
+    come back as Undetermined with a reason, never as a wrong Resolved value.
+    The primality of p is checked once per uncached (K, p).
     """
     key = (K.min_poly.coeffs, p)
     with _cache_lock:
@@ -571,10 +564,9 @@ def decompose(K: NumberField, p: int) -> PrimeDecomposition:
         if dec is not None:
             _cache.move_to_end(key)
             return dec
-    try:
-        dec = kummer_decompose(K, p)
-    except BadPrimeError:
-        dec = ore_local_decompose(K, p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    dec = _decompose(K, p)
     with _cache_lock:
         _cache[key] = dec
         if len(_cache) > _CACHE_SIZE:

@@ -397,6 +397,23 @@ def test_degree_cap_exit_code_from_field_file(tmp_path, capsys):
     assert code == 4 and out == "" and "exceeds the cap" in err
 
 
+def test_unreadable_field_file_exit_code(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8
+    latin1 = tmp_path / "latin1.field"
+    latin1.write_bytes("label: caf\u00e9\nx^2 - 2\n".encode("latin-1"))
+    for path in (tmp_path, latin1):
+        code, out, err = run(capsys, "split", str(path), "--prime", "7")
+        assert code == EXIT_PARSE and out == "" and "cannot read field file" in err, path
+
+
+@pytest.mark.parametrize("command", ["spectrum", "invariants", "equiv", "adele-iso"])
+def test_bound_below_two_exit_code(capsys, command):
+    fields = ["x^2+1"] if command in ("spectrum", "invariants") else ["x^2+1", "x^2-2"]
+    for bound in ("1", "-5"):
+        code, out, err = run(capsys, command, *fields, "--bound", bound)
+        assert code == EXIT_PARSE and out == "" and "bound must be at least 2" in err
+
+
 def test_bound_cap_exit_code(capsys):
     code, out, err = run(capsys, "spectrum", "x^2+1", "--bound", str(MAX_PRIME_BOUND + 1))
     assert code == 4 and out == "" and "exceeds the cap" in err

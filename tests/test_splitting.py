@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,22 @@ from adelic.exactpoly import (
     factor_modp,
     gcd_modp,
     parse_int_poly,
+    _distinct_degree_parts,
+    _gcd_modp,
+    _mul,
+    _squarefree_parts,
+    _trim,
 )
 from adelic import splitting
 from adelic.primes import primes_up_to, valuation
 from adelic.splitting import (
+    METHOD_KUMMER,
+    METHOD_NEWTON,
+    RESOLVED,
+    UNDETERMINED,
     BadPrimeError,
     NumberField,
+    PrimeDecomposition,
     Segment,
     SplittingType,
     UndeterminedError,
@@ -145,17 +156,23 @@ def _dedekind_by_full_factorization(f: IntPoly, p: int) -> bool:
     return gcd_modp(gcd_modp(g, h), t).degree >= 1
 
 
-def test_kummer_and_dedekind_match_full_factorization_sweep():
-    """Squarefree parts plus DDF counts agree with factor_modp on random fields."""
+def _random_fields():
+    """Fields from random monic polynomials of degree 2 to 6 (seed 11)."""
     rng = random.Random(11)
-    cleared = index_divisors = 0
     for _ in range(120):
         n = rng.randint(2, 6)
         f = IntPoly([rng.randint(-30, 30) for _ in range(n)] + [1])
         try:
-            K = NumberField(f)
+            yield NumberField(f)
         except ValueError:
             continue
+
+
+def test_kummer_and_dedekind_match_full_factorization_sweep():
+    """Squarefree parts plus DDF counts agree with factor_modp on random fields."""
+    cleared = index_divisors = 0
+    for K in _random_fields():
+        f = K.min_poly
         for p in primes_up_to(40):
             expected = sorted((mult, g.degree) for g, mult in factor_modp(f.reduce_mod(p)))
             divides = _dedekind_by_full_factorization(f, p)
@@ -168,6 +185,133 @@ def test_kummer_and_dedekind_match_full_factorization_sweep():
             cleared += not good_prime_test(K, p)
             assert sorted(kummer_decompose(K, p).factors) == expected, (f, p)
     assert cleared > 50 and index_divisors > 10
+
+
+# ---------------------------------------------------------------------------
+# Route oracle: the two routes that decompose took before there was one.
+# Kummer factorization ran wherever the Dedekind criterion, computed from the
+# product g*h*T, cleared p; index divisors fell back to a Newton analysis on a
+# full factorization of f mod p.  The polygon primitives are shared.
+
+
+def _oracle_divides_index(K, p, parts):
+    g_bar = [1]
+    h_bar = [1]
+    for poly, mult in parts:
+        g_bar = _mul(g_bar, poly, p)
+        for _ in range(mult - 1):
+            h_bar = _mul(h_bar, poly, p)
+    diff = IntPoly(g_bar) * IntPoly(h_bar) - K.min_poly
+    assert all(c % p == 0 for c in diff.coeffs)
+    t_bar = _trim([(c // p) % p for c in diff.coeffs])
+    return len(_gcd_modp(_gcd_modp(g_bar, h_bar, p), t_bar, p)) > 1
+
+
+def _oracle_kummer(K, p):
+    f_bar = [c % p for c in K.min_poly.coeffs]
+    if K.poly_disc % p:
+        parts = [(f_bar, 1)]
+    else:
+        parts = _squarefree_parts(f_bar, p)
+        if _oracle_divides_index(K, p, parts):
+            raise BadPrimeError(p)
+    pairs = [
+        (mult, d)
+        for part, mult in parts
+        for d, g in _distinct_degree_parts(part, p)
+        for _ in range((len(g) - 1) // d)
+    ]
+    return splitting._resolved(p, pairs, METHOD_KUMMER, K.degree)
+
+
+def _oracle_ore(K, p):
+    f = K.min_poly
+    pairs = []
+    for phibar, mult in factor_modp(f.reduce_mod(p)):
+        if mult == 1:
+            pairs.append((1, phibar.degree))
+            continue
+        phi = phibar.lift()
+        a_list = splitting._phi_expansion(f, phi, mult)
+        vals = [splitting._gauss_valuation(a, p) for a in a_list]
+        if vals[0] is None:
+            reason = f"{phi.to_text()} divides the defining polynomial, which is reducible"
+        else:
+            reason = splitting._residual_factor_degrees(a_list, vals, list(phibar.coeffs), p, pairs)
+        if reason:
+            return PrimeDecomposition(p, UNDETERMINED, None, METHOD_NEWTON, reason=reason)
+    return splitting._resolved(p, pairs, METHOD_NEWTON, K.degree)
+
+
+def _oracle_decompose(K, p):
+    try:
+        return _oracle_kummer(K, p)
+    except BadPrimeError:
+        return _oracle_ore(K, p)
+
+
+def _polygon_fields():
+    """(K, p) with f = phi1^k1 * phi2^k2 + p^m * g, phi_i irreducible mod p of
+    degree 2 or 3 (phi2 = 1 in half the cases) and deg g < deg phi1^k1 phi2^k2.
+    m = 1 with p not dividing g gives polygons of height one; m >= 2 gives
+    index divisors, Undetermined ones among them when p divides gcd(m, k1)."""
+    from adelic.exactpoly import is_irreducible_modp
+
+    rng = random.Random(7)
+    while True:
+        p = rng.choice([2, 3, 5, 7])
+        phis = []
+        while len(phis) < rng.choice([1, 2]):
+            phi = IntPoly([rng.randrange(p) for _ in range(rng.choice([2, 3]))] + [1])
+            if is_irreducible_modp(phi.reduce_mod(p)) and phi not in phis:
+                phis.append(phi)
+        head = IntPoly.one()
+        for phi in phis:
+            head = head * phi ** rng.choice([2, 3])
+        if head.degree > 9:
+            continue
+        g = IntPoly([rng.randint(-p, p) for _ in range(rng.randint(1, head.degree))])
+        m = rng.randint(1, 5)
+        try:
+            yield NumberField(head + IntPoly((p**m,)) * g), p
+        except ValueError:
+            continue
+
+
+def test_one_route_matches_the_two_route_oracle():
+    """decompose, kummer_decompose, ore_local_decompose and dedekind_index_test
+    read one route; each agrees with the two-route oracle on status, factors,
+    method and reason."""
+    cases = [(K, p) for K in _random_fields() for p in primes_up_to(40)]
+    polygon_cases = _polygon_fields()
+    cases += [next(polygon_cases) for _ in range(300)]
+    # both polygons stop, on sides of slope 1 and 2: the reason reported is
+    # that of x^2 + x + 1, the first factor in (degree, coefficients) order
+    phi1, phi2 = P("x^2 + x + 1"), P("x^3 + x + 1")
+    two_stops = NumberField(phi1**2 * phi2**2 + IntPoly((4,)) * phi2**2 + IntPoly((16,)))
+    assert "slope 1/1" in decompose(two_stops, 2).reason
+    cases.append((two_stops, 2))
+    clear_decomposition_cache()
+    seen = Counter()
+    for K, p in cases:
+        want = _oracle_decompose(K, p)
+        assert decompose(K, p) == want, (K, p)
+        assert ore_local_decompose(K, p) == _oracle_ore(K, p), (K, p)
+        divides = want.method == METHOD_NEWTON
+        assert dedekind_index_test(K, p) == divides, (K, p)
+        if divides:
+            with pytest.raises(BadPrimeError):
+                kummer_decompose(K, p)
+        else:
+            assert kummer_decompose(K, p) == want, (K, p)
+        seen[want.method, want.status, K.poly_disc % p == 0] += 1
+    clear_decomposition_cache()
+    # every route is taken: good primes, cleared bad primes, resolved and
+    # undetermined index divisors
+    assert seen[METHOD_KUMMER, RESOLVED, False] > 100
+    assert seen[METHOD_KUMMER, RESOLVED, True] > 50
+    assert seen[METHOD_NEWTON, RESOLVED, True] > 50
+    assert seen[METHOD_NEWTON, UNDETERMINED, True] > 10
 
 
 def test_dedekind_against_maximal_order_oracle():
@@ -413,9 +557,8 @@ def test_decompose_checks_primality_once(monkeypatch):
     monkeypatch.setattr(splitting, "is_prime", counting_is_prime)
     clear_decomposition_cache()
     assert [decompose(K, p).method for p in (3, 503, 2)] == ["Kummer", "Kummer", "NewtonPolygon"]
-    # kummer_decompose checks once; an index divisor is checked again by
-    # ore_local_decompose and by its factor_modp
-    assert calls == [3, 503, 2, 2, 2]
+    # one route per prime, so one check each, an index divisor included
+    assert calls == [3, 503, 2]
     del calls[:]
     for p in (3, 503, 2):
         decompose(K, p)
@@ -533,8 +676,6 @@ def test_splitting_type_of_undetermined_raises():
 
 
 def test_splitting_type_permutation_invariant():
-    from adelic.splitting import PrimeDecomposition, RESOLVED
-
     d1 = PrimeDecomposition(5, RESOLVED, ((1, 1), (1, 3)), "Kummer")
     d2 = PrimeDecomposition(5, RESOLVED, ((1, 3), (1, 1)), "Kummer")
     assert splitting_type(d1) == splitting_type(d2) == SplittingType((1, 3))
