@@ -221,13 +221,11 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_adele_iso(args) -> int:
-    from .finring import DEFAULT_RING_ORDER_CAP
     from .invariants import adele_iso_verdict
 
     K = _load_field(args.field1)
     L = _load_field(args.field2)
-    ring_cap = DEFAULT_RING_ORDER_CAP if args.ring_cap is None else args.ring_cap
-    verdict = adele_iso_verdict(K, L, args.bound, ring_cap=ring_cap)
+    verdict = adele_iso_verdict(K, L, args.bound)
     lines = [f"{verdict.kind}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason}")
@@ -462,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field1")
     p.add_argument("field2")
     p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
-    p.add_argument("--ring-cap", type=int, default=None,
-                   help="largest residue-ring order the certifier will enumerate")
     common(p)
     p.set_defaults(func=_cmd_adele_iso)
 

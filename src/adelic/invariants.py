@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .exactpoly import IntPoly, squarefree_decomposition, sturm_real_roots
 from .finring import (
-    DEFAULT_RING_ORDER_CAP,
     FiniteRing,
     LocalQuotientRing,
     RingCapExceededError,
@@ -547,7 +546,6 @@ def adele_iso_verdict(
     K: NumberField,
     L: NumberField,
     B: int = DEFAULT_PRIME_BOUND,
-    ring_cap: int = DEFAULT_RING_ORDER_CAP,
 ) -> AdeleIsoVerdict:
     """Decide (to the extent certifiable) whether the adele rings of K and L match.
 
@@ -604,7 +602,7 @@ def adele_iso_verdict(
                 reason=f"local (e, f) multisets differ at p={p}",
                 witness=p,
             )
-        result = _match_at_prime(K, L, p, dk, identical, ring_cap, B)
+        result = _match_at_prime(K, L, p, dk, identical, B)
         if isinstance(result, AdeleIsoVerdict):
             return result
         pairs, misses = result
@@ -636,7 +634,7 @@ def adele_iso_verdict(
     )
 
 
-def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
+def _match_at_prime(K, L, p, dk, identical, B):
     """Certify the (already equal) local (e, f) multisets of K and L at p.
 
     Identical defining polynomials certify every pair by identity.  An
@@ -644,8 +642,9 @@ def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
     completion is the unramified extension of Q_p of degree f, so no ring is
     built.  A totally ramified pair (f = 1, one prime above p) is certified
     by comparing the Eisenstein residue rings at truncation keating_bound(p,
-    e); rings that differ refute isomorphism, and a ring over ring_cap
-    leaves the pair unmatched.  Any other ramified pair stays unmatched.
+    e); rings that differ refute isomorphism, and a ring over the 2^20 order
+    cap of find_ring_isomorphism leaves the pair unmatched.  Any other
+    ramified pair stays unmatched.
     Returns (pairs, misses), or a NotIsomorphic verdict.
     """
     pairs: list[MatchedLocalPair] = []
@@ -674,7 +673,7 @@ def _match_at_prime(K, L, p, dk, identical, ring_cap, B):
             rk = residue_ring_construct(p, e, 1, ek, s)
             rl = residue_ring_construct(p, e, 1, el, s)
             try:
-                same = find_ring_isomorphism(rk.ring, rl.ring, cap=ring_cap) is not None
+                same = find_ring_isomorphism(rk.ring, rl.ring) is not None
             except RingCapExceededError:
                 misses.append(UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap"))
                 continue

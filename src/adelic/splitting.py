@@ -13,16 +13,12 @@ phi.  Otherwise each side is analysed through its residual polynomial; if some
 residual polynomial is inseparable the result is reported as Undetermined
 rather than guessed.
 
-Everything here is a pure function over immutable values.  Decompositions are
-cached per (coefficient sequence, prime) in a bounded least-recently-used
-cache; the fill is idempotent and the cache is locked, so concurrent sweeps
-are safe.
+Everything here is a pure function over immutable values, so concurrent
+sweeps are safe.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -31,11 +27,10 @@ from .exactpoly import (
     derive_seed,
     discriminant,
     parse_int_poly,
-    _Lcg,
     _add,
     _distinct_degree_parts,
     _divmod_monic,
-    _edf,
+    _factor_modp,
     _mul,
     _powmod,
     _squarefree_parts,
@@ -371,7 +366,7 @@ def _fqp_ddf(a: list, phi: list[int], p: int) -> dict[int, int]:
     y = [[], [1]]
     h = y
     d = 0
-    while len(v) - 1 > 2 * d:
+    while len(v) - 1 >= 2 * (d + 1):
         d += 1
         h = _fqp_powmod(h, q, v, phi, p)
         g = _fqp_gcd(_fqp_sub(h, y, p), v, phi, p)
@@ -434,9 +429,9 @@ def _decompose(K: NumberField, p: int) -> PrimeDecomposition:
 
     A good prime has no repeated part, so the distinct-degree counts are its
     whole answer.  Only a bad prime splits f mod p into squarefree parts, and
-    only their repeated parts into irreducibles phi, sorted in factor_modp's
-    (degree, coefficients, multiplicity) order so that an Undetermined reason
-    is that of the least phi that stops.  A phi of multiplicity k whose
+    only their repeated parts into irreducibles phi, by factor_modp's loop and
+    in its (degree, coefficients, multiplicity) order, so that an Undetermined
+    reason is that of the least phi that stops.  A phi of multiplicity k whose
     polygon has height one, v_p(a_0) = 1, has one side of slope 1/k and a
     linear residual polynomial, so it gives (k, deg phi).
     """
@@ -452,14 +447,9 @@ def _decompose(K: NumberField, p: int) -> PrimeDecomposition:
     ]
     if good:
         return _resolved(p, pairs, METHOD_KUMMER, K.degree)
-    repeated = []
-    for part, mult in parts:
-        if mult > 1:
-            rng = _Lcg(derive_seed(p, tuple(f_bar)))
-            repeated += [
-                (phi, mult) for d, g in _distinct_degree_parts(part, p) for phi in _edf(g, d, p, rng)
-            ]
-    repeated.sort(key=lambda t: (len(t[0]), t[0], t[1]))
+    repeated = _factor_modp(
+        [(part, mult) for part, mult in parts if mult > 1], p, derive_seed(p, tuple(f_bar))
+    )
     polygons = []
     for phi, mult in repeated:
         a_list = _phi_expansion(K.min_poly, IntPoly(phi), mult)
@@ -492,9 +482,7 @@ def dedekind_index_test(K: NumberField, p: int) -> bool:
     When this returns False, factoring f mod p gives the decomposition even
     though p may divide disc(f).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _decompose(K, p).method == METHOD_NEWTON
+    return decompose(K, p).method == METHOD_NEWTON
 
 
 def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
@@ -505,9 +493,7 @@ def kummer_decompose(K: NumberField, p: int) -> PrimeDecomposition:
     contributes the pair (e, f).  Raises BadPrimeError at an index divisor
     instead of returning a possibly wrong answer.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    dec = _decompose(K, p)
+    dec = decompose(K, p)
     if dec.method == METHOD_NEWTON:
         raise BadPrimeError(
             f"p={p} divides the index [O_K : Z[alpha]]; Kummer factorization does not apply"
@@ -527,27 +513,19 @@ def ore_local_decompose(K: NumberField, p: int) -> PrimeDecomposition:
     analysis is out of scope) or when a lift of phi divides the defining
     polynomial, which is then reducible.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return replace(_decompose(K, p), method=METHOD_NEWTON)
+    return replace(decompose(K, p), method=METHOD_NEWTON)
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher with caching.
-
-# The largest working set of one command is the corpus self-check
-# (`adelic --corpus`): 1,196 decompositions, every corpus field at every prime
-# up to 200, which its later sweeps up to 100 and its equivalence checks read
-# again.  The bound keeps all of them; per-prime sweeps such as spectrum,
-# equiv and adele-iso reuse far fewer entries.
-_CACHE_SIZE = 2048
-_cache: OrderedDict[tuple[tuple[int, ...], int], PrimeDecomposition] = OrderedDict()
-_cache_lock = threading.Lock()
+# The public entry point.
 
 
 def clear_decomposition_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    """Does nothing: decompositions are not cached.
+
+    Kept for callers written when they were, such as the benchmark harness,
+    which calls it before every op.
+    """
 
 
 def decompose(K: NumberField, p: int) -> PrimeDecomposition:
@@ -556,19 +534,9 @@ def decompose(K: NumberField, p: int) -> PrimeDecomposition:
     Good primes and discriminant divisors that Dedekind's criterion clears
     are labelled Kummer; index divisors NewtonPolygon.  Unresolvable cases
     come back as Undetermined with a reason, never as a wrong Resolved value.
-    The primality of p is checked once per uncached (K, p).
+    The primality of p is checked here, and only here: the other public
+    routes of this module call this one.
     """
-    key = (K.min_poly.coeffs, p)
-    with _cache_lock:
-        dec = _cache.get(key)
-        if dec is not None:
-            _cache.move_to_end(key)
-            return dec
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    dec = _decompose(K, p)
-    with _cache_lock:
-        _cache[key] = dec
-        if len(_cache) > _CACHE_SIZE:
-            _cache.popitem(last=False)
-    return dec
+    return _decompose(K, p)

@@ -1,35 +1,55 @@
-"""The benchmark's tracer reaches into the library by name: every name it
-rebinds or imports must exist, so that dropping one fails here rather than in
-a traced benchmark run."""
+"""The benchmark reaches into the library by name: every name it rebinds or
+imports must exist, so that dropping one fails here rather than in a
+benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def imported_names():
+    """(module, attr) for each `from adelic... import attr` in bench/*.py, and
+    (module, None) for each `import adelic...`, wherever in a file it stands."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "adelic":
+                names.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(
+                    (alias.name, None) for alias in node.names if alias.name.split(".")[0] == "adelic"
+                )
+    return sorted(names, key=str)
+
+
+def resolves(module: str, attr: str | None) -> bool:
+    try:
+        found = importlib.import_module(module)
+    except ImportError:
+        return False
+    return attr is None or hasattr(found, attr)
+
+
 def test_every_traced_name_resolves():
     tracing = load_tracing()
     names = [(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED]
-    # the names Tracer and RingOpCounter import or read directly
-    names += [
-        ("adelic.splitting", "InsufficientPrecisionError"),
-        ("adelic.splitting", "NumberField"),
-        ("adelic.finring", "RingCapExceededError"),
-        ("adelic.finring", "FiniteRing"),
-        ("adelic.fv", "EvalCapError"),
-    ]
-    missing = [
-        f"{module}.{attr}"
-        for module, attr in names
-        if not hasattr(importlib.import_module(module), attr)
-    ]
+    imported = imported_names()
+    # the collector sees imports inside functions, such as the harness's
+    # per-op reset
+    assert ("adelic.splitting", "clear_decomposition_cache") in imported
+    names += imported
+    # RingOpCounter reads this one as an attribute of the module
+    names.append(("adelic.finring", "FiniteRing"))
+    missing = [f"{module}.{attr}" for module, attr in names if not resolves(module, attr)]
     assert missing == []
+

@@ -154,6 +154,20 @@ def test_adele_iso_unramified_factor_past_ring_cap(capsys):
     assert expected in data["matching"]
 
 
+def test_adele_iso_ring_cap_is_fixed(capsys):
+    # x^8 - 2 and its shift by 1 need a ring of order 2^27 at p = 2
+    # (keating_bound(2, 8) = 27); the 2^20 cap cannot be raised from the CLI
+    fields = ("x^8 - 2", "x^8 + 8*x^7 + 28*x^6 + 56*x^5 + 70*x^4 + 56*x^3 + 28*x^2 + 8*x - 1")
+    # a small value, so that an option that came back would fail here fast
+    with pytest.raises(SystemExit) as exc:
+        main(["adele-iso", *fields, "--ring-cap", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ring-cap" in capsys.readouterr().err
+    code, out, _ = run(capsys, "adele-iso", *fields, "--bound", "20")
+    assert code == 0
+    assert "assumed p=2 (e=8, f=1): residue-ring order exceeds the cap" in out
+
+
 def test_fv_eval(tmp_path, capsys):
     fam = tmp_path / "family.json"
     fam.write_text(

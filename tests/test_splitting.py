@@ -1,5 +1,6 @@
 """Tests for prime decomposition: Kummer, Dedekind criterion, Newton polygons."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from adelic.exactpoly import (
     factor_modp,
     gcd_modp,
     parse_int_poly,
+    _add,
     _distinct_degree_parts,
     _gcd_modp,
     _mul,
@@ -33,7 +35,6 @@ from adelic.splitting import (
     Segment,
     SplittingType,
     UndeterminedError,
-    clear_decomposition_cache,
     decompose,
     _has_rational_root,
     dedekind_index_test,
@@ -291,7 +292,6 @@ def test_one_route_matches_the_two_route_oracle():
     two_stops = NumberField(phi1**2 * phi2**2 + IntPoly((4,)) * phi2**2 + IntPoly((16,)))
     assert "slope 1/1" in decompose(two_stops, 2).reason
     cases.append((two_stops, 2))
-    clear_decomposition_cache()
     seen = Counter()
     for K, p in cases:
         want = _oracle_decompose(K, p)
@@ -305,7 +305,6 @@ def test_one_route_matches_the_two_route_oracle():
         else:
             assert kummer_decompose(K, p) == want, (K, p)
         seen[want.method, want.status, K.poly_disc % p == 0] += 1
-    clear_decomposition_cache()
     # every route is taken: good primes, cleared bad primes, resolved and
     # undetermined index divisors
     assert seen[METHOD_KUMMER, RESOLVED, False] > 100
@@ -475,6 +474,59 @@ def test_ore_residuals_over_fq_against_sympy_prime_decomp():
     assert any(f == deg_phi for deg_phi, pairs in compared for _, f in pairs)
 
 
+def _fq_has_root(a: list, phi: list[int], p: int) -> bool:
+    """Whether the polynomial a over F_q = F_p[x]/(phi) vanishes at some element."""
+    for coeffs in itertools.product(range(p), repeat=len(phi) - 1):
+        t = _trim(list(coeffs))
+        value = []
+        for c in reversed(a):
+            value = _add(splitting._fq_mul(value, t, phi, p), c, p)
+        if not value:
+            return True
+    return False
+
+
+def test_fq_ddf_counts_products_of_known_irreducibles():
+    """_fqp_ddf on products of distinct monic irreducibles of degree 1-3 over
+    F_4, F_8, F_9 and F_25; a monic of degree at most 3 is irreducible
+    exactly when it has no root, which is checked by trying every element."""
+    rng = random.Random(20261019)
+    fields = [([1, 1, 1], 2), ([1, 1, 0, 1], 2), ([1, 0, 1], 3), ([3, 0, 1], 5)]
+    for phi, p in fields:
+        for _ in range(25):
+            factors = []
+            for d in rng.choices([1, 2, 3], k=rng.randint(1, 3)):
+                while True:
+                    g = [_trim([rng.randrange(p) for _ in phi[1:]]) for _ in range(d)] + [[1]]
+                    if (d == 1 or not _fq_has_root(g, phi, p)) and g not in factors:
+                        break
+                factors.append(g)
+            product = [[1]]
+            for g in factors:
+                product = splitting._fqp_mul(product, g, phi, p)
+            want = Counter(len(g) - 1 for g in factors)
+            assert splitting._fqp_ddf(product, phi, p) == want, (phi, p, factors)
+
+
+def test_linear_residual_over_fq_takes_no_frobenius_power(monkeypatch):
+    """A residual of degree 1 is irreducible as it stands, so the F_q
+    distinct-degree stage computes no power y^q mod v for it."""
+    powmods = []
+    powmod = splitting._fqp_powmod
+
+    def counting_powmod(*args):
+        powmods.append(args)
+        return powmod(*args)
+
+    monkeypatch.setattr(splitting, "_fqp_powmod", counting_powmod)
+    assert splitting._fqp_ddf([[1], [1]], [1, 1, 1], 2) == {1: 1}
+    # two sides of length 1 over F_4, each a linear residual
+    phi = P("x^2 + x + 1")
+    f = phi * phi + IntPoly((2,)) * phi + IntPoly((0, 2**224))
+    assert decompose(NumberField(f), 2).factors == ((1, 2), (1, 2))
+    assert powmods == []
+
+
 def test_decompose_dispatcher():
     K2 = corpus_field("Q(sqrt2)")
     assert decompose(K2, 7).method == "Kummer"
@@ -499,46 +551,6 @@ def test_decompose_undetermined_reason():
     assert not dec.is_resolved and dec.reason
 
 
-def test_decompose_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(splitting, "_CACHE_SIZE", 50)
-    clear_decomposition_cache()
-    K = corpus_field("Q(sqrt2)")
-    L = corpus_field("Q(cbrt2)")
-    primes = primes_up_to(200)
-    for p in primes:
-        decompose(K, p)
-        decompose(L, p)
-        assert len(splitting._cache) <= 50
-    assert len(splitting._cache) == 50
-    # the 50 most recently used entries stay: both fields at the last 25 primes
-    assert set(splitting._cache) == {(F.min_poly.coeffs, p) for F in (K, L) for p in primes[-25:]}
-    # a hit renews an entry, so the next miss evicts the one after it
-    decompose(K, primes[-25])
-    decompose(K, primes[0])
-    assert (K.min_poly.coeffs, primes[-25]) in splitting._cache
-    assert (L.min_poly.coeffs, primes[-25]) not in splitting._cache
-    clear_decomposition_cache()
-    assert len(splitting._cache) == 0
-
-
-def test_decompose_cache_holds_the_corpus_self_check():
-    from adelic.cli import run_corpus_checks
-
-    clear_decomposition_cache()
-    run_corpus_checks()
-    for K in corpus_fields():
-        for p in primes_up_to(200):
-            assert (K.min_poly.coeffs, p) in splitting._cache, (K.name(), p)
-    clear_decomposition_cache()
-
-
-def test_decompose_cache_is_shared_by_labels_of_one_polynomial():
-    clear_decomposition_cache()
-    K = NumberField(parse_int_poly("x^3 - 2"), label="one")
-    L = NumberField(parse_int_poly("x^3 - 2"), label="two")
-    assert decompose(K, 5) is decompose(L, 5)
-
-
 def test_decompose_checks_primality_once(monkeypatch):
     from adelic import exactpoly
 
@@ -555,14 +567,14 @@ def test_decompose_checks_primality_once(monkeypatch):
     # every primality check made under decompose, in either module
     monkeypatch.setattr(exactpoly, "is_prime", counting_is_prime)
     monkeypatch.setattr(splitting, "is_prime", counting_is_prime)
-    clear_decomposition_cache()
     assert [decompose(K, p).method for p in (3, 503, 2)] == ["Kummer", "Kummer", "NewtonPolygon"]
     # one route per prime, so one check each, an index divisor included
     assert calls == [3, 503, 2]
     del calls[:]
+    # nothing is cached, so a repeated call checks again
     for p in (3, 503, 2):
         decompose(K, p)
-    assert calls == []
+    assert calls == [3, 503, 2]
 
 
 def test_kummer_good_prime_path_matches_squarefree_part_route():
@@ -581,22 +593,12 @@ def test_kummer_good_prime_path_matches_squarefree_part_route():
             assert sorted(kummer_decompose(K, p).factors) == pairs, (K.name(), p)
 
 
-def test_decompose_cache_idempotent():
-    clear_decomposition_cache()
-    K = corpus_field("Q(cbrt2)")
-    first = decompose(K, 5)
-    second = decompose(K, 5)
-    assert first is second
-
-
 def test_decompose_newton_route_resolves_index_divisor():
-    clear_decomposition_cache()
     # 2 divides the index of the classical cubic, so the Newton-polygon route runs
     K = NumberField(P("x^3 + x^2 - 2*x + 8"))
     dec = decompose(K, 2)
     assert dec.method == "NewtonPolygon"
     assert dec.is_resolved and dec.factors == ((1, 1), (1, 1), (1, 1))
-    clear_decomposition_cache()
 
 
 def test_decompose_exact_valuations_far_above_old_precision():
@@ -628,7 +630,6 @@ def test_splitting_type_projection_examples():
 def test_parallel_sweeps_are_consistent():
     from concurrent.futures import ThreadPoolExecutor
 
-    clear_decomposition_cache()
     K = corpus_field("Q(fourthroot2)")
     primes = list(primes_up_to(100))
 
@@ -638,35 +639,6 @@ def test_parallel_sweeps_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(sweep, range(8)))
     assert all(r == results[0] for r in results)
-
-
-def test_parallel_sweeps_past_the_cache_bound(monkeypatch):
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    monkeypatch.setattr(splitting, "_CACHE_SIZE", 60)
-    fields = [corpus_field("Q(fourthroot2)"), corpus_field("Q(cbrt2)"), corpus_field("Q(zeta8)")]
-    primes = list(primes_up_to(300))
-    assert len(fields) * len(primes) > 60
-    clear_decomposition_cache()
-    want = [[decompose(K, p).factors for p in primes] for K in fields]
-    clear_decomposition_cache()
-
-    def sweep(i):
-        K = fields[i % len(fields)]
-        got = [decompose(K, p).factors for p in primes]
-        assert len(splitting._cache) <= 60
-        return i % len(fields), got
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            results = [f.result(timeout=60) for f in [pool.submit(sweep, i) for i in range(12)]]
-    finally:
-        sys.setswitchinterval(old)
-    assert all(got == want[k] for k, got in results)
-    assert len(splitting._cache) == 60
 
 
 def test_splitting_type_of_undetermined_raises():
