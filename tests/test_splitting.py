@@ -35,6 +35,7 @@ from adelic.splitting import (
     Segment,
     SplittingType,
     UndeterminedError,
+    clear_decomposition_cache,
     decompose,
     _has_rational_root,
     dedekind_index_test,
@@ -575,6 +576,44 @@ def test_decompose_checks_primality_once(monkeypatch):
     for p in (3, 503, 2):
         decompose(K, p)
     assert calls == [3, 503, 2]
+
+
+def test_every_public_route_checks_primality_through_decompose(monkeypatch):
+    from adelic import exactpoly
+
+    K = corpus_field("index-divisor-cubic")
+    calls = []
+    is_prime = exactpoly.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(exactpoly, "is_prime", counting_is_prime)
+    monkeypatch.setattr(splitting, "is_prime", counting_is_prime)
+    assert kummer_decompose(K, 3).factors == decompose(K, 3).factors
+    assert ore_local_decompose(K, 2).method == METHOD_NEWTON
+    assert dedekind_index_test(K, 2)
+    assert not dedekind_index_test(K, 503)
+    # one check per call, each made by decompose
+    assert calls == [3, 3, 2, 2, 503]
+    for route in (decompose, kummer_decompose, ore_local_decompose, dedekind_index_test):
+        for n in (1, 6, 9, 503 * 3):
+            with pytest.raises(ValueError, match="is not prime"):
+                route(K, n)
+
+
+def test_decompose_depends_only_on_the_polynomial():
+    # the label plays no part, and a repeated call or a call to the
+    # no-op clear_decomposition_cache between calls changes nothing
+    K = NumberField(parse_int_poly("x^3 - 2"), label="one")
+    L = NumberField(parse_int_poly("x^3 - 2"), label="two")
+    for p in primes_up_to(60):
+        first = decompose(K, p)
+        clear_decomposition_cache()
+        assert decompose(L, p) == first == decompose(K, p), p
+    assert decompose(K, 5).factors == ((1, 1), (1, 2))
+    assert decompose(K, 3).factors == ((3, 1),)
 
 
 def test_kummer_good_prime_path_matches_squarefree_part_route():
