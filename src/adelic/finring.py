@@ -199,10 +199,11 @@ class LocalQuotientRing(FiniteRing):
         if f == 1:
             prod = _mul(va, vb, pc)
         else:
-            # At stride 2f-1 the y-products of different x-powers cannot overlap.
+            # At stride 2f-1 the y-products of different x-powers cannot
+            # overlap; padding only between blocks leaves no all-zero block.
             w = 2 * f - 1
             gap = [0] * (f - 1)
-            sa, sb = ([c for i in range(0, len(v), f) for c in v[i : i + f] + gap] for v in (va, vb))
+            sa, sb = (v[:f] + [c for i in range(f, len(v), f) for c in gap + v[i : i + f]] for v in (va, vb))
             wide = _mul(sa, sb, pc)
             prod = []
             for i in range(0, len(wide), w):

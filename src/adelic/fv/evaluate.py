@@ -1,11 +1,14 @@
 """Evaluation of ring formulas over stalks and of generalized products.
 
-The semantics implemented here is exhaustive: ring quantifiers range over all
-stalk elements (stalk order capped), Boolean quantifiers range over all
-subsets of the index set (size capped at 16), and the Fin predicate holds of
-every subset because the index set is finite.  Note that over a finite index
-set Fin is trivially full, which collapses the distinction it carries over
-infinite index sets; tests that need Fin to be a proper ideal are excluded by
+Ring quantifiers range over all stalk elements (stalk order capped).  A
+Boolean quantifier ranges over one subset for each vector of counts in the
+Venn cells of the sets already bound (index set capped at 16): two subsets
+with equal counts in every cell are swapped by a permutation of the index set
+that fixes every set in scope, so the body cannot tell them apart (Feferman &
+Vaught, Fund. Math. 47, 1959).  The Fin predicate holds of every subset
+because the index set is finite.  Note that over a finite index set Fin is
+trivially full, which collapses the distinction it carries over infinite
+index sets; tests that need Fin to be a proper ideal are excluded by
 construction.
 
 A generalized sentence is a Boolean-side formula applied to index sets of the
@@ -15,7 +18,7 @@ form [[theta]] = {i : stalk_i satisfies theta at the given global elements}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, product
 
 from ..finring import FiniteRing, _is_isomorphism, find_ring_isomorphism
 from .family import MAX_INDEX_SET, MAX_STALK_ORDER, FiniteFamily
@@ -96,7 +99,7 @@ _COMPOUND = frozenset((Not, And, Or, Implies, Exists, Forall))
 def _holds(node: Formula, env: dict, atom, domain) -> bool:
     """Truth of node under env, which maps free-variable indices and bound
     keys to values: atom(node, env) decides an atom, and a quantifier binds
-    its variable to each value of domain() in turn."""
+    its variable to each value of domain(env) in turn."""
     kind = type(node)
     if kind not in _COMPOUND:
         return atom(node, env)
@@ -111,7 +114,7 @@ def _holds(node: Formula, env: dict, atom, domain) -> bool:
     key, want = _var_key(node.var), kind is Exists
     outer = env.get(key)  # a shadowed binding, or None for a fresh name
     try:
-        for value in domain():
+        for value in domain(env):
             env[key] = value
             if _holds(node.body, env, atom, domain) is want:
                 return want
@@ -172,7 +175,7 @@ def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
     def equal(node: REq, env: dict) -> bool:
         return _eval_term(node.left, stalk, env) == _eval_term(node.right, stalk, env)
 
-    return _holds(theta, env, equal, stalk.elements)
+    return _holds(theta, env, equal, lambda env: stalk.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +202,26 @@ def theta_set(theta: Formula, family: FiniteFamily, elements) -> frozenset[str]:
     return frozenset(hits)
 
 
-def _all_subsets(universe: tuple[str, ...]):
-    for r in range(len(universe) + 1):
-        for combo in combinations(universe, r):
-            yield frozenset(combo)
+def _cell_representatives(ordered: tuple[str, ...], env: dict):
+    """One subset per vector of counts in the Venn cells that the sets bound
+    in env cut from ordered: for each k up to a cell's size it takes the
+    cell's first k labels, so there are prod(|cell| + 1) subsets."""
+    bound = [value for value in env.values() if value is not None]
+    cells: dict[tuple[bool, ...], list[str]] = {}
+    for label in ordered:
+        cells.setdefault(tuple(label in value for value in bound), []).append(label)
+    prefixes = [[cell[:k] for k in range(len(cell) + 1)] for cell in cells.values()]
+    for parts in product(*prefixes):
+        yield frozenset(chain.from_iterable(parts))
 
 
 def eval_boole(psi: Formula, index_set, assignment) -> bool:
     """Satisfaction of psi in the powerset algebra of the index set.
 
-    assignment maps free v-indices to subsets of the index set; quantifiers
-    range over all 2^|I| subsets, so |I| is capped at MAX_INDEX_SET.
+    assignment maps free v-indices to subsets of the index set.  A quantifier
+    tries one subset per vector of counts in the Venn cells of the sets in
+    scope, prod(|cell| + 1) of them where the powerset has 2^|I|; |I| is
+    capped at MAX_INDEX_SET.
     """
     universe = frozenset(index_set)
     if len(universe) > MAX_INDEX_SET:
@@ -234,7 +246,7 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
             return True
         raise TypeError(f"unexpected node {node!r}")
 
-    return _holds(psi, env, relation, lambda: _all_subsets(ordered))
+    return _holds(psi, env, relation, lambda env: _cell_representatives(ordered, env))
 
 
 def gen_product_eval(sentence: GeneralizedSentence, family: FiniteFamily, elements=()) -> bool:

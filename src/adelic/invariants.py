@@ -143,20 +143,15 @@ def aq_distinguisher(K: NumberField, B: int) -> tuple[int, ...]:
     """Good primes p <= B whose decomposition is exactly one unramified prime
     with residue field F_p.
 
-    Nonempty only for the rational field: a single (1, 1) factor forces
-    degree 1, so this is an executable separator between the degree-1 field
-    and everything else.
+    Nonempty only for the rational field: the e*f of the primes above p sum
+    to the degree, so a single (1, 1) factor means degree 1, where every good
+    prime has one.  No prime is decomposed.
     """
     if B < 2:
         raise ValueError("bound must be at least 2")
-    hits = []
-    for p in primes_up_to(B):
-        if K.poly_disc % p == 0:
-            continue
-        dec = decompose(K, p)
-        if dec.is_resolved and dec.factors == ((1, 1),):
-            hits.append(p)
-    return tuple(hits)
+    if K.degree != 1:
+        return ()
+    return tuple(p for p in primes_up_to(B) if K.poly_disc % p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +438,12 @@ def eisenstein_presentation(K: NumberField, p: int) -> IntPoly | None:
     dec = decompose(K, p)
     if not dec.is_resolved or dec.factors != ((K.degree, 1),):
         return None
+    return _eisenstein_shift(K, p)
+
+
+def _eisenstein_shift(K: NumberField, p: int) -> IntPoly | None:
+    """The shift search of eisenstein_presentation, for a p already known to
+    be totally ramified with residue degree 1 in K."""
     [(root_factor, _)] = squarefree_decomposition(K.min_poly.reduce_mod(p))
     r = -root_factor.coeffs[0] % p
     for c in (r, r + p):
@@ -661,8 +662,8 @@ def _match_at_prime(K, L, p, dk, identical, B):
             )
             continue
         if f == 1 and dk.factors == ((e, 1),):
-            ek = eisenstein_presentation(K, p)
-            el = eisenstein_presentation(L, p)
+            ek = _eisenstein_shift(K, p)
+            el = _eisenstein_shift(L, p)
             if ek is None or el is None:
                 misses.append(
                     UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from adelic.exactpoly import IntPoly, irreducible_modp, parse_int_poly
+from adelic.exactpoly import IntPoly, _divmod_monic, _mul, irreducible_modp, parse_int_poly
 from adelic.finring import (
     LocalQuotientRing,
     PermutedRing,
@@ -369,6 +369,32 @@ def test_local_quotient_ring_codes_match_reference_arithmetic():
         for a, b in pairs:
             assert ring.add(a, b) == ref.add(a, b), (p, e, f, s, a, b)
             assert ring.mul(a, b) == ref.mul(a, b), (p, e, f, s, a, b)
+
+
+def padded_block_mul(ring, a, b):
+    """LocalQuotientRing.mul as it was when every x-block, the last one too,
+    was padded with f - 1 zeros before the Kronecker product."""
+    va, vb = ring._decode(a), ring._decode(b)
+    f, pc = ring.f, ring.pc
+    w = 2 * f - 1
+    gap = [0] * (f - 1)
+    sa, sb = ([c for i in range(0, len(v), f) for c in v[i : i + f] + gap] for v in (va, vb))
+    wide = _mul(sa, sb, pc)
+    prod = []
+    for i in range(0, len(wide), w):
+        block = _divmod_monic(wide[i : i + w], ring.g, pc)[1]
+        prod += block + [0] * (f - len(block))
+    return ring._encode(_divmod_monic(prod, ring.modulus, pc)[1])
+
+
+def test_local_quotient_mul_matches_padding_every_block():
+    rings = [r for r in oracle_rings() if isinstance(r, LocalQuotientRing) and r.f > 1]
+    rings += [LocalQuotientRing(7, 1, 2, None, 1), LocalQuotientRing(3, 1, 3, None, 1)]
+    assert {(r.e, r.f) for r in rings} == {(1, 2), (1, 3), (2, 2)}
+    for ring in rings:
+        for a in ring.elements():
+            for b in ring.elements():
+                assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
 
 
 # ---------------------------------------------------------------------------

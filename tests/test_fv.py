@@ -1,6 +1,7 @@
 """Tests for formula parsing and generalized-product evaluation."""
 
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from adelic.fv import (
     FormulaSyntaxError,
     GeneralizedSentence,
     boole_arity,
+    boole_free_vars,
     eval_boole,
     eval_ring_formula,
     family_from_json,
@@ -26,6 +28,7 @@ from adelic.fv import (
     stalk_from_spec,
     theta_set,
 )
+from adelic.fv.evaluate import _cell_representatives
 from adelic.fv.formulas import MAX_FORMULA_TOKENS, And, Exists, FormulaCapError, quantifier_depth
 
 P = parse_int_poly
@@ -339,6 +342,111 @@ def test_eval_boole_quantifiers_range_over_powerset():
     # two distinct subsets exist below the full set, but not below the bottom
     assert eval_boole(psi, index, {0: frozenset(index)})
     assert not eval_boole(psi, index, {0: frozenset()})
+
+
+def test_two_nested_boolean_quantifiers_over_16_indices_are_fast():
+    index = tuple(f"i{k:02d}" for k in range(16))
+    psi = parse_boole_formula("forall v1 forall v2 (v1 sub v2 or not (v1 sub v2))")
+    start = time.perf_counter()
+    assert eval_boole(psi, index, {})
+    # 969 pairs of cell representatives, where the powerset has 2^32 pairs
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cell_representatives_one_subset_per_count_vector():
+    ordered = tuple("abcdef")
+    env = {0: frozenset("abc"), 1: frozenset("cde"), 2: None}
+    # cells {a, b}, {c}, {d, e} and {f}
+    reps = list(_cell_representatives(ordered, env))
+    assert len(reps) == 3 * 2 * 3 * 2
+    counts = {tuple(len(r & cell) for cell in map(frozenset, ("ab", "c", "de", "f"))) for r in reps}
+    assert len(counts) == len(reps)
+    assert frozenset("ad") in reps and frozenset("be") not in reps
+    assert list(_cell_representatives((), {})) == [frozenset()]
+
+
+def brute_force_boole(node, full, env):
+    """Oracle: the Boolean walk with every quantifier over all 2^|I|
+    subsets.  A subset is a bit mask over the sorted labels, full is the mask
+    of the index set, and env maps v-indices to masks."""
+    kind = type(node).__name__
+    if kind == "BSub":
+        return env[node.left.index] & ~env[node.right.index] == 0
+    if kind == "BEq":
+        return env[node.left.index] == env[node.right.index]
+    if kind == "BConst":
+        return env[node.var.index] == (full if node.value == 1 else 0)
+    if kind == "BFin":
+        return True
+    if kind == "Not":
+        return not brute_force_boole(node.body, full, env)
+    if kind in ("And", "Or", "Implies"):
+        left = brute_force_boole(node.left, full, env)
+        right = brute_force_boole(node.right, full, env)
+        return {"And": left and right, "Or": left or right, "Implies": not left or right}[kind]
+    key, want = int(node.var[1:]), kind == "Exists"
+    outer = env.get(key)
+    try:
+        for mask in range(full + 1):
+            env[key] = mask
+            if brute_force_boole(node.body, full, env) is want:
+                return want
+        return not want
+    finally:
+        env[key] = outer
+
+
+def random_boole_formula(rng, names, depth, width=2):
+    """Text of a random Boolean formula over the v-indices in names, with at
+    most depth nested quantifiers and width nested binary connectives.  A
+    quantifier usually binds a fresh index but may rebind one in scope, so
+    shadowing occurs.  Atoms favour the two innermost names.  One leaf says
+    that two sets are incomparable: the prefixes of one Venn cell form a
+    chain, so a domain that ignores how an outer variable splits a cell
+    finds no incomparable pair inside it."""
+    roll = rng.random()
+    if names and (depth == width == 0 or roll < 0.2):
+        pool = names[-2:] if rng.random() < 0.5 else names
+        a, b = rng.sample(pool, 2) if len(pool) > 1 else pool * 2
+        leaf = rng.choice([
+            f"v{a} sub v{b}",
+            f"v{a} = v{b}",
+            f"v{a} = 0",
+            f"v{a} = 1",
+            f"Fin(v{a})",
+            f"not (v{a} sub v{b}) and not (v{b} sub v{a})",
+        ])
+        return f"not ({leaf})" if rng.random() < 0.5 else leaf
+    if names and (depth == 0 or width and roll < 0.4):
+        op = rng.choice(["and", "or", "->"])
+        left, right = (random_boole_formula(rng, names, depth, width - 1) for _ in range(2))
+        return f"({left}) {op} ({right})"
+    fresh = [i for i in range(6) if i not in names]
+    var = rng.choice(names if names and rng.random() < 0.25 else fresh)
+    body = random_boole_formula(rng, [n for n in names if n != var] + [var], depth - 1, width)
+    quantified = f"{rng.choice(['exists', 'forall'])} v{var} ({body})"
+    return f"not ({quantified})" if rng.random() < 0.2 else quantified
+
+
+def test_eval_boole_matches_the_powerset_walk():
+    rng = random.Random(20)
+    truths = set()
+    for trial in range(600):
+        universe = frozenset(f"i{k}" for k in range(rng.randrange(7)))
+        free = rng.sample(range(4), rng.randrange(3))
+        # with no free variable the formula starts with a quantifier
+        depth = rng.randrange(0 if free else 1, 4)
+        psi = parse_boole_formula(random_boole_formula(rng, free, depth))
+        assert quantifier_depth(psi) <= 3 and boole_free_vars(psi) <= set(free)
+        labels = sorted(universe)
+        masks = {i: rng.getrandbits(len(labels)) for i in free}
+        assignment = {
+            i: frozenset(x for k, x in enumerate(labels) if mask >> k & 1) for i, mask in masks.items()
+        }
+        expected = brute_force_boole(psi, (1 << len(labels)) - 1, masks)
+        assert eval_boole(psi, labels, assignment) == expected, (trial, formula_to_text(psi))
+        truths.add(expected)
+    assert truths == {False, True}
 
 
 # ---------------------------------------------------------------------------

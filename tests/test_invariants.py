@@ -136,6 +136,20 @@ def test_aq_distinguisher_corpus_dichotomy():
         assert bool(hits) == (K.degree == 1), K.name()
 
 
+def test_aq_distinguisher_matches_the_decomposition_sweep():
+    """Oracle: decompose every good prime up to B and keep those with a
+    single resolved (1, 1) factor."""
+    for K in corpus_fields():
+        for B in (2, 30, 300):
+            sweep = []
+            for p in primes_up_to(B):
+                if K.poly_disc % p:
+                    dec = decompose(K, p)
+                    if dec.is_resolved and dec.factors == ((1, 1),):
+                        sweep.append(p)
+            assert aq_distinguisher(K, B) == tuple(sweep), (K.name(), B)
+
+
 # ---------------------------------------------------------------------------
 # Zeta data.
 
@@ -415,6 +429,25 @@ def test_adele_same_field_two_presentations_certified():
     assert v.kind == "IsomorphicCertified"
     certs = {(m.prime, m.certificate) for m in v.matching}
     assert (2, "eisenstein-residue-ring") in certs
+
+
+def test_adele_decomposes_each_field_at_each_prime_once(monkeypatch):
+    import adelic.invariants as invariants
+
+    calls = []
+    decompose_once = invariants.decompose
+
+    def counting_decompose(K, p):
+        calls.append((K.min_poly, p))
+        return decompose_once(K, p)
+
+    monkeypatch.setattr(invariants, "decompose", counting_decompose)
+    K = corpus_field("Q(sqrt2)")
+    L = NumberField(P("x^2 + 4*x + 2"), "shifted")
+    v = adele_iso_verdict(K, L, 30)
+    assert [(m.prime, m.certificate) for m in v.matching] == [(2, "eisenstein-residue-ring")]
+    assert calls.count((K.min_poly, 2)) == calls.count((L.min_poly, 2)) == 1
+    assert len(calls) == len(set(calls))
 
 
 def test_adele_ring_level_rejection():
