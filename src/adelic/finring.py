@@ -11,7 +11,8 @@ constructions:
   degree f; the totally ramified part is presented by a monic Eisenstein
   polynomial (not needed when e == 1).  An element is one flat list of
   coefficients, multiplied with exactpoly's schoolbook list product by
-  Kronecker substitution,
+  Kronecker substitution; a residue field (s == 1) of order at most
+  MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
 Isomorphism testing rejects on order and characteristic, then tries images,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactpoly import IntPoly, _divmod_monic, _mul, irreducible_modp
+from .exactpoly import IntPoly, _divmod_monic, _mul, _Packed, irreducible_modp
 from .primes import is_prime
 
 __all__ = [
@@ -39,9 +40,14 @@ __all__ = [
     "find_ring_isomorphism",
     "finite_ring_isomorphic",
     "DEFAULT_RING_ORDER_CAP",
+    "MAX_LOG_TABLE_ORDER",
 ]
 
 DEFAULT_RING_ORDER_CAP = 2**20
+
+# Largest residue field that multiplies by exp/log tables; fv's stalk cap is
+# this bound, so every field stalk does.
+MAX_LOG_TABLE_ORDER = 2**12
 
 
 class RingCapExceededError(ValueError):
@@ -143,6 +149,13 @@ class LocalQuotientRing(FiniteRing):
     that list read as mixed-radix digits, index 0 lowest; this gives order
     p^(f*s) and characteristic p^ceil(s/e).  Multiplication is one exactpoly
     product by Kronecker substitution, then reduction by g and by E.
+
+    When s == 1 the ring is the field F_p[y]/(g) of order q = p^f, and a
+    code's base-p digits are its coefficients in y.  A field of order at most
+    MAX_LOG_TABLE_ORDER multiplies by table lookup instead: its first product
+    builds exp and log tables of a generator of the q - 1 units (2q ints), and
+    a*b = exp[(log a + log b) mod (q - 1)] for a, b != 0 (Lidl & Niederreiter,
+    Finite Fields, ch. 2).
     """
 
     def __init__(self, p: int, e: int, f: int, eisenstein: IntPoly | None, s: int):
@@ -153,16 +166,15 @@ class LocalQuotientRing(FiniteRing):
         self.p, self.e, self.f, self.s = p, e, f, s
         self.c = -(-s // e)  # ceil(s/e)
         self.pc = p**self.c
-        if e > 1:
-            if eisenstein is None:
-                raise ValueError("a ramified quotient needs a monic Eisenstein polynomial")
+        if eisenstein is None and e > 1:
+            raise ValueError("a ramified quotient needs a monic Eisenstein polynomial")
+        if eisenstein is not None:
             if eisenstein.degree != e or not eisenstein.is_monic:
                 raise ValueError("Eisenstein polynomial must be monic of degree e")
             if not _is_eisenstein_at(eisenstein, p):
                 raise ValueError("polynomial is not Eisenstein at p")
-            self.eis = tuple(c % self.pc for c in eisenstein.coeffs)
-        else:
-            self.eis = None
+        # Unramified, O/pi^s does not depend on the polynomial; it is only checked.
+        self.eis = tuple(c % self.pc for c in eisenstein.coeffs) if e > 1 else None
         self.g = [c % self.pc for c in irreducible_modp(p, f).lift().coeffs]
         # E(z^f), or z^f when unramified: E has scalar coefficients, so
         # reducing the flat list by it reduces each y-coefficient by E(x).
@@ -176,6 +188,8 @@ class LocalQuotientRing(FiniteRing):
         self.order = p ** (f * s)
         self.zero = 0
         self.one = self._encode([1])
+        # (exp, log) once built; None until the first product, () for no tables.
+        self._tables = None if s == 1 and self.order <= MAX_LOG_TABLE_ORDER else ()
 
     def _encode(self, coeffs: list[int]) -> int:
         # coeffs may be shorter than e*f; missing entries are zero.
@@ -194,6 +208,14 @@ class LocalQuotientRing(FiniteRing):
         return self._encode([-x for x in self._decode(a)])
 
     def mul(self, a, b):
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._log_tables()
+        if tables:
+            if a and b:
+                exp, log = tables
+                return exp[(log[a] + log[b]) % len(exp)]
+            return 0
         va, vb = self._decode(a), self._decode(b)
         f, pc = self.f, self.pc
         if f == 1:
@@ -210,6 +232,27 @@ class LocalQuotientRing(FiniteRing):
                 block = _divmod_monic(wide[i : i + w], self.g, pc)[1]
                 prod += block + [0] * (f - len(block))
         return self._encode(_divmod_monic(prod, self.modulus, pc)[1])
+
+    def _log_tables(self) -> tuple[list[int], list[int]]:
+        """exp[i], the code of u^i for i < q - 1, and log, its inverse on the
+        units (log[0] is unused), for u the first code whose powers reach all
+        q - 1 units.  Powers are walked on exactpoly's _Packed for
+        F_p[y]/(g), whose slots are reduced mod p, so a power equals 1 exactly
+        when it is packed 1."""
+        q, k = self.order, _Packed(self.g, self.p)
+        for u in range(1, q):
+            x = k.pack(self._decode(u)[: self.f])
+            powers, y = [1], x
+            while y != 1:
+                powers.append(y)
+                y = k.mul(y, x)
+            if len(powers) == q - 1:
+                break
+        exp = [self._encode(k.unpack(y)) for y in powers]
+        log = [0] * q
+        for i, code in enumerate(exp):
+            log[code] = i
+        return exp, log
 
     def uniformizer(self) -> int:
         """Code of the uniformizer: x when ramified, p when unramified."""

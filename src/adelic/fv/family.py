@@ -23,12 +23,13 @@ import json
 from dataclasses import dataclass
 
 from ..exactpoly import IntPoly
-from ..finring import FiniteRing, LocalQuotientRing, ZmodRing
+from ..finring import MAX_LOG_TABLE_ORDER, FiniteRing, LocalQuotientRing, ZmodRing
 
 __all__ = ["FiniteFamily", "stalk_from_spec", "family_from_json", "MAX_INDEX_SET"]
 
 MAX_INDEX_SET = 16
-MAX_STALK_ORDER = 2**12
+# Every field stalk is small enough to multiply by exp/log tables.
+MAX_STALK_ORDER = MAX_LOG_TABLE_ORDER
 
 
 @dataclass(frozen=True, slots=True)

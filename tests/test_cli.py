@@ -215,6 +215,10 @@ FV_INPUT_ERRORS = [
     ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2.9, 0, 1]}}}', None),
     ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": "201"}}}', None),
     ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [2, 0, 1], "f": true}}}', None),
+    # e = 1 needs no polynomial, but one that is given must be Eisenstein of degree e
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 5, "e": 1, "s": 2, "coeffs": [7, 7, 7]}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 5, "e": 1, "s": 2, "coeffs": [7, 1]}}}', None),
+    ('{"index": ["a"], "stalks": {"a": {"kind": "Eisenstein", "p": 5, "e": 1, "s": 2, "coeffs": [25, 1]}}}', None),
     (FV_FAMILY, "not json"),
     (FV_FAMILY, '[{"a": 1}]'),
     (FV_FAMILY, '{"a": 1, "b": 1}'),

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -99,6 +100,17 @@ def test_eisenstein_validation():
         LocalQuotientRing(2, 2, 1, None, 2)  # ramified shape needs a polynomial
     with pytest.raises(ValueError):
         LocalQuotientRing(2, 2, 1, P("x^3-2"), 2)  # degree mismatch
+    # e == 1 needs no polynomial, but one that is given is checked as for e > 1
+    for eis in ("x^2+7*x+7", "x+7", "x+25", "2*x+5"):
+        with pytest.raises(ValueError):
+            LocalQuotientRing(5, 1, 1, P(eis), 2)
+
+
+def test_unramified_quotient_ignores_a_valid_eisenstein_polynomial():
+    ring = LocalQuotientRing(5, 1, 1, P("x+10"), 2)
+    plain = LocalQuotientRing(5, 1, 1, None, 2)
+    assert ring.describe() == plain.describe() == "O/pi^2 (p=5, e=1, f=1)"
+    assert all(ring.mul(a, b) == plain.mul(a, b) for a in range(25) for b in range(25))
 
 
 def test_permuted_ring_is_isomorphic_presentation():
@@ -395,6 +407,78 @@ def test_local_quotient_mul_matches_padding_every_block():
         for a in ring.elements():
             for b in ring.elements():
                 assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
+
+
+def list_product_ring(p, e, f, eis, s):
+    """The same ring, made to keep the list product whatever its order."""
+    ring = LocalQuotientRing(p, e, f, eis, s)
+    ring._tables = ()
+    return ring
+
+
+def residue_field_shapes():
+    """(p, e, f, E) for every s = 1 ring of order <= 256 over p <= 13: GF(p^f),
+    and Eisenstein presentations with e = 2...4 and f = 1, 2."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for f in range(1, 9):
+            if p**f <= 256:
+                yield p, 1, f, None
+        for e in range(2, 5):
+            for f in (1, 2):
+                yield p, e, f, IntPoly([p, p] + [0] * (e - 2) + [1])
+
+
+# Fields of order above 256 up to MAX_LOG_TABLE_ORDER, one of them prime.
+LARGE_FIELDS = [(2, 12), (3, 7), (5, 5), (4093, 1)]
+
+
+def test_log_tables_match_the_list_product_on_small_fields():
+    shapes = list(residue_field_shapes())
+    assert len(shapes) == 22 + 36
+    for p, e, f, eis in shapes:
+        ring, ref = LocalQuotientRing(p, e, f, eis, 1), list_product_ring(p, e, f, eis, 1)
+        # both products are commutative: the table's by construction, the
+        # list product's by the reference test above
+        for a in ring.elements():
+            for b in range(a + 1):
+                assert ring.mul(a, b) == ref.mul(a, b), (ring.describe(), a, b)
+        assert ring._tables, ring.describe()
+
+
+def test_log_tables_match_the_list_product_on_large_fields():
+    rng = random.Random(21)
+    for p, f in LARGE_FIELDS:
+        ring, ref = LocalQuotientRing(p, 1, f, None, 1), list_product_ring(p, 1, f, None, 1)
+        q = ring.order
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
+        pairs += [(0, 1), (q - 1, 0), (1, q - 1), (q - 1, q - 1)]
+        for a, b in pairs:
+            assert ring.mul(a, b) == ref.mul(a, b), (ring.describe(), a, b)
+        exp, log = ring._tables
+        assert sorted(exp) == list(range(1, q))
+        assert all(log[exp[i]] == i for i in range(q - 1))
+
+
+def test_first_product_on_the_largest_fields_is_fast():
+    for p, f in LARGE_FIELDS:
+        ring = LocalQuotientRing(p, 1, f, None, 1)
+        start = time.perf_counter()
+        ring.mul(2, 3)
+        assert time.perf_counter() - start < 1, ring.describe()
+
+
+def test_rings_past_the_table_bound_or_not_fields_keep_the_list_product(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"tables built for {self.describe()}")
+
+    monkeypatch.setattr(LocalQuotientRing, "_log_tables", refuse)
+    rng = random.Random(13)
+    for p, e, f, eis, s in [(2, 1, 13, None, 1), (2, 1, 1, None, 2), (3, 1, 2, None, 2), (5, 2, 1, P("x^2-5"), 2)]:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        ref = ReferenceLocalQuotientRing(p, e, f, eis, s)
+        pairs = [(rng.randrange(ring.order), rng.randrange(ring.order)) for _ in range(200)]
+        assert all(ring.mul(a, b) == ref.mul(a, b) for a, b in pairs), ring.describe()
+        assert ring._tables == ()
 
 
 # ---------------------------------------------------------------------------
