@@ -475,9 +475,9 @@ def _tokenize_poly(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():  # str.isdigit alone also takes '²' and '٣'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -10,8 +10,10 @@ Two first-order languages share one concrete ASCII syntax:
 
 Connectives are ``not``, ``and``, ``or``, ``->`` (implication, right
 associative, lowest precedence); quantifiers are ``exists``/``forall`` and
-take the largest formula to their right.  Parse errors, including a y/z name
-used outside every quantifier that binds it, carry line and column.  A
+take the largest formula to their right.  The binary operators of both
+languages, with their precedence and associativity, are one table that the
+parser climbs and the printer renders from.  Parse errors, including a y/z
+name used outside every quantifier that binds it, carry line and column.  A
 formula of more than MAX_FORMULA_TOKENS tokens is refused before parsing, so
 that no recursive walk of a tree nears the interpreter's recursion limit.
 """
@@ -69,11 +71,11 @@ class FormulaCapError(ValueError):
 
 
 # Every walk of a tree (parser, free variables, quantifier depth, printing,
-# evaluation) recurses at most four times per token.  The parser is the
-# deepest: each '(' it reads as a formula costs parse_unary, parse_formula,
-# parse_disjunction and parse_conjunction, whether or not the text closes
-# it.  150 tokens keep every walk near 600 frames, below the default
-# recursion limit of 1000.
+# evaluation) recurses at most twice per token.  The parser is the deepest:
+# each '(' costs parse_unary and parse_binary when read as a formula, or
+# parse_term_primary and parse_binary when read as a term, whether or not
+# the text closes it.  150 tokens keep every walk near 300 frames, below the
+# default recursion limit of 1000.
 MAX_FORMULA_TOKENS = 150
 
 
@@ -211,66 +213,51 @@ class Forall(Formula):
 # -- tokenizer --------------------------------------------------------------
 
 _KEYWORDS = {"exists", "forall", "and", "or", "not", "sub", "Fin"}
-_SYMBOLS = ("->", "(", ")", "=", "+", "-", "*")
 
 
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # of the first character in the formula text
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of text[offset]; only '\\n' starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
         if len(tokens) == MAX_FORMULA_TOKENS:
+            line, column = _line_column(text, i)
             raise FormulaCapError(
                 f"formula length exceeds the cap of {MAX_FORMULA_TOKENS} tokens "
-                f"(line {line}, column {col})"
+                f"(line {line}, column {column})"
             )
+        j = i + 1
         if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()=+-*":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
+            kind, j = "->", i + 2
+        elif ch in "()=+-*":
+            kind = ch
+        elif ch.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+            kind = "int"
+        elif ch.isalpha():
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
+            kind = "kw" if text[i:j] in _KEYWORDS else "name"
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", *_line_column(text, i))
+        tokens.append(_Token(kind, text[i:j], i))
+        i = j
     return tokens
 
 
@@ -286,14 +273,24 @@ def _is_boole_var(name: str) -> bool:
     return name.startswith("v") and name[1:].isdecimal()
 
 
-def _index(tok: _Token) -> int:
-    """The index k of a w<k> or v<k> name."""
-    try:
-        return int(tok.text[1:])
-    except ValueError:  # past the interpreter's int-conversion digit limit
-        raise FormulaSyntaxError(
-            f"variable index of {len(tok.text) - 1} digits is too long", tok.line, tok.column
-        ) from None
+# The binary operators of each language: token text -> (precedence, node
+# class, right associative).  A higher precedence binds tighter.  The parser
+# climbs these tables and the printer renders every binary node from them.
+_FORMULA_OPERATORS = {
+    "->": (1, Implies, True),
+    "or": (2, Or, False),
+    "and": (3, And, False),
+}
+_TERM_OPERATORS = {
+    "+": (1, RAdd, False),
+    "-": (1, RSub, False),
+    "*": (2, RMul, False),
+}
+_OPERATOR_TEXT = {
+    node: text
+    for operators in (_FORMULA_OPERATORS, _TERM_OPERATORS)
+    for text, (_, node, _) in operators.items()
+}
 
 
 class _Parser:
@@ -304,12 +301,20 @@ class _Parser:
         self.text = text
         self.bound = frozenset()  # quantified names in scope at self.pos
 
-    def _error(self, message: str) -> FormulaSyntaxError:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return FormulaSyntaxError(message, t.line, t.column)
-        lines = self.text.split("\n")
-        return FormulaSyntaxError(message, len(lines), len(lines[-1]) + 1)
+    def _error(self, message: str, tok: _Token | None = None) -> FormulaSyntaxError:
+        """A syntax error at tok, by default the next token or the end of the text."""
+        tok = tok or self.peek()
+        offset = len(self.text) if tok is None else tok.offset
+        return FormulaSyntaxError(message, *_line_column(self.text, offset))
+
+    def _index(self, tok: _Token) -> int:
+        """The index k of a w<k> or v<k> name."""
+        try:
+            return int(tok.text[1:])
+        except ValueError:  # past the interpreter's int-conversion digit limit
+            raise self._error(
+                f"variable index of {len(tok.text) - 1} digits is too long", tok
+            ) from None
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -323,34 +328,20 @@ class _Parser:
         self.pos += 1
         return tok
 
-    # formula := implication; implication := disjunction ('->' implication)?
-    def parse_formula(self) -> Formula:
-        left = self.parse_disjunction()
-        tok = self.peek()
-        if tok is not None and tok.kind == "->":
-            self.take()
-            return Implies(left, self.parse_formula())
-        return left
-
-    def parse_disjunction(self) -> Formula:
-        left = self.parse_conjunction()
+    def parse_binary(self, operators: dict, operand, min_prec: int = 1):
+        """Operands joined by the operators of one language, by precedence
+        climbing: an operator takes as its right operand everything joined
+        by tighter operators, and by itself too when right associative."""
+        left = operand()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == "kw" and tok.text == "or":
-                self.take()
-                left = Or(left, self.parse_conjunction())
-            else:
+            entry = None if tok is None else operators.get(tok.text)
+            if entry is None or entry[0] < min_prec:
                 return left
-
-    def parse_conjunction(self) -> Formula:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "kw" and tok.text == "and":
-                self.take()
-                left = And(left, self.parse_unary())
-            else:
-                return left
+            prec, node, right_assoc = entry
+            self.pos += 1
+            right = self.parse_binary(operators, operand, prec if right_assoc else prec + 1)
+            left = node(left, right)
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
@@ -368,10 +359,10 @@ class _Parser:
             if self.mode == "boole" and not _is_boole_var(var):
                 raise self._error(f"quantified Boolean variables are v names, got {var!r}")
             if self.mode == "boole":
-                _index(name)  # refuse here what _var_key could not convert
+                self._index(name)  # refuse here what _var_key could not convert
             outer = self.bound
             self.bound = outer | {var}
-            body = self.parse_formula()
+            body = self.parse_binary(_FORMULA_OPERATORS, self.parse_unary)
             self.bound = outer
             return Exists(var, body) if tok.text == "exists" else Forall(var, body)
         if tok.kind == "(":
@@ -381,7 +372,7 @@ class _Parser:
             save = self.pos, self.bound
             try:
                 self.take("(")
-                inner = self.parse_formula()
+                inner = self.parse_binary(_FORMULA_OPERATORS, self.parse_unary)
                 self.take(")")
                 return inner
             except FormulaSyntaxError as formula_error:
@@ -398,31 +389,9 @@ class _Parser:
     # ring atoms and terms
 
     def parse_ring_atom(self) -> Formula:
-        left = self.parse_term()
+        left = self.parse_binary(_TERM_OPERATORS, self.parse_term_primary)
         self.take("=")
-        right = self.parse_term()
-        return REq(left, right)
-
-    def parse_term(self) -> RingTerm:
-        left = self.parse_term_factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind in ("+", "-"):
-                self.take()
-                right = self.parse_term_factor()
-                left = RAdd(left, right) if tok.kind == "+" else RSub(left, right)
-            else:
-                return left
-
-    def parse_term_factor(self) -> RingTerm:
-        left = self.parse_term_primary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "*":
-                self.take()
-                left = RMul(left, self.parse_term_primary())
-            else:
-                return left
+        return REq(left, self.parse_binary(_TERM_OPERATORS, self.parse_term_primary))
 
     def parse_term_primary(self) -> RingTerm:
         tok = self.peek()
@@ -436,21 +405,15 @@ class _Parser:
         if tok.kind == "name":
             self.take()
             if _is_ring_var(tok.text):
-                return RVar(_index(tok))
+                return RVar(self._index(tok))
             if _is_bound_name(tok.text):
                 if tok.text not in self.bound:
-                    raise FormulaSyntaxError(
-                        f"unbound quantified variable {tok.text!r}", tok.line, tok.column
-                    )
+                    raise self._error(f"unbound quantified variable {tok.text!r}", tok)
                 return RBound(tok.text)
-            raise FormulaSyntaxError(
-                f"unknown ring variable {tok.text!r} (use w<k> or y/z names)",
-                tok.line,
-                tok.column,
-            )
+            raise self._error(f"unknown ring variable {tok.text!r} (use w<k> or y/z names)", tok)
         if tok.kind == "(":
             self.take("(")
-            inner = self.parse_term()
+            inner = self.parse_binary(_TERM_OPERATORS, self.parse_term_primary)
             self.take(")")
             return inner
         raise self._error(f"unexpected token {tok.text!r} in term")
@@ -474,29 +437,23 @@ class _Parser:
             if nxt is not None and nxt.kind == "int":
                 self.take()
                 if nxt.text not in ("0", "1"):
-                    raise FormulaSyntaxError(
-                        "only the constants 0 and 1 are allowed", nxt.line, nxt.column
-                    )
+                    raise self._error("only the constants 0 and 1 are allowed", nxt)
                 return BConst(left, int(nxt.text))
             return BEq(left, self._take_boole_var())
         if op.kind == "kw" and op.text == "sub":
             return BSub(left, self._take_boole_var())
-        raise FormulaSyntaxError(
-            f"expected '=' or 'sub', found {op.text!r}", op.line, op.column
-        )
+        raise self._error(f"expected '=' or 'sub', found {op.text!r}", op)
 
     def _take_boole_var(self) -> BVar:
         tok = self.take("name")
         if not _is_boole_var(tok.text):
-            raise FormulaSyntaxError(
-                f"Boolean variables are v<k> names, got {tok.text!r}", tok.line, tok.column
-            )
-        return BVar(_index(tok))
+            raise self._error(f"Boolean variables are v<k> names, got {tok.text!r}", tok)
+        return BVar(self._index(tok))
 
 
 def _parse(text: str, mode: str) -> Formula:
     parser = _Parser(text, mode)
-    result = parser.parse_formula()
+    result = parser.parse_binary(_FORMULA_OPERATORS, parser.parse_unary)
     if parser.peek() is not None:
         raise parser._error(f"trailing input {parser.peek().text!r}")
     return result
@@ -580,12 +537,8 @@ def _term_text(term: RingTerm) -> str:
         return term.name
     if isinstance(term, RConst):
         return str(term.value)
-    if isinstance(term, RAdd):
-        return f"({_term_text(term.left)} + {_term_text(term.right)})"
-    if isinstance(term, RSub):
-        return f"({_term_text(term.left)} - {_term_text(term.right)})"
-    if isinstance(term, RMul):
-        return f"({_term_text(term.left)} * {_term_text(term.right)})"
+    if type(term) in _OPERATOR_TEXT:
+        return f"({_term_text(term.left)} {_OPERATOR_TEXT[type(term)]} {_term_text(term.right)})"
     raise TypeError(f"unexpected term {term!r}")
 
 
@@ -604,12 +557,9 @@ def formula_to_text(node: Formula) -> str:
         return f"v{node.var.index} = {node.value}"
     if isinstance(node, Not):
         return f"not ({formula_to_text(node.body)})"
-    if isinstance(node, And):
-        return f"({formula_to_text(node.left)}) and ({formula_to_text(node.right)})"
-    if isinstance(node, Or):
-        return f"({formula_to_text(node.left)}) or ({formula_to_text(node.right)})"
-    if isinstance(node, Implies):
-        return f"({formula_to_text(node.left)}) -> ({formula_to_text(node.right)})"
+    if type(node) in _OPERATOR_TEXT:
+        left, right = formula_to_text(node.left), formula_to_text(node.right)
+        return f"({left}) {_OPERATOR_TEXT[type(node)]} ({right})"
     if isinstance(node, Exists):
         return f"exists {node.var} ({formula_to_text(node.body)})"
     if isinstance(node, Forall):

@@ -14,7 +14,6 @@ an explicit statement of what was assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactpoly import IntPoly, squarefree_decomposition, sturm_real_roots
 from .finring import (
@@ -327,9 +326,9 @@ def keating_bound(p: int, e: int) -> int:
     ramification index e over Q_p.
 
     For e > 1 this is the least integer strictly greater than
-    p/(p-1) + v_p(e)*e, computed in exact rational arithmetic.  For e = 1 the
-    unramified completion is already determined by its residue field, and
-    level 2 is used.
+    p/(p-1) + v_p(e)*e: p/(p-1) is 2 at p = 2 and lies in (1, 3/2] for odd
+    p.  For e = 1 the unramified completion is already determined by its
+    residue field, and level 2 is used.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -337,11 +336,7 @@ def keating_bound(p: int, e: int) -> int:
         raise ValueError("ramification index must be positive")
     if e == 1:
         return 2
-    bound = Fraction(p, p - 1) + valuation(e, p) * e
-    s = int(bound) + 1
-    if Fraction(s) <= bound:
-        s += 1
-    return s
+    return valuation(e, p) * e + (3 if p == 2 else 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -60,6 +60,11 @@ def test_split_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "split", "x^2 - " + "7" * 5000, "--prime", "2")
     assert code == 2 and out == "" and "position 6" in err
     assert len(err.encode()) < 300 and err.startswith("error: 'x^2 - 777")
+    # only ASCII digits make integer literals
+    for text, position in (("x^\u00b2+1", 2), ("\u00b2*x+1", 0), ("x^\u0663+1", 2)):
+        code, out, err = run(capsys, "split", text, "--prime", "3")
+        assert code == 2 and out == ""
+        assert f"unexpected character {text[position]!r} (at position {position})" in err
 
 
 def test_split_composite_prime_rejected(capsys):

@@ -247,6 +247,12 @@ def test_parse_rejects_bad_input():
     with pytest.raises(PolyParseError, match="5000 digits") as info:
         P("x^2 - " + "7" * 5000)
     assert info.value.position == 6
+    # integer literals are ASCII: str.isdigit also takes superscripts, which
+    # int() refuses, and other scripts' decimal digits, which it converts
+    for text, position in (("x^\u00b2+1", 2), ("\u00b2*x+1", 0), ("x^\u0663+1", 2), ("7\u0663", 1)):
+        with pytest.raises(PolyParseError, match="unexpected character") as info:
+            P(text)
+        assert info.value.position == position
 
 
 def test_text_round_trip():

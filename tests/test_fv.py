@@ -1,6 +1,7 @@
 """Tests for formula parsing and generalized-product evaluation."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -29,7 +30,14 @@ from adelic.fv import (
     theta_set,
 )
 from adelic.fv.evaluate import _cell_representatives
-from adelic.fv.formulas import MAX_FORMULA_TOKENS, And, Exists, FormulaCapError, quantifier_depth
+from adelic.fv.formulas import (
+    MAX_FORMULA_TOKENS,
+    And,
+    Exists,
+    FormulaCapError,
+    _tokenize,
+    quantifier_depth,
+)
 
 P = parse_int_poly
 
@@ -93,6 +101,39 @@ def test_unbound_quantified_variable_is_a_syntax_error(text, column):
     assert (exc.value.line, exc.value.column) == (1, column)
 
 
+LONG_INDEX = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [
+        (parse_ring_formula, "w0 = 0 and\n\tw1 = 2", "only the ring constants", 2, 7),
+        (parse_ring_formula, "exists y\n(\ty = 0 and\n  \tz = w0)", "unbound quantified", 3, 4),
+        (parse_ring_formula, "w0 =\n\t", "unexpected end of term", 2, 2),
+        (parse_ring_formula, f"w0 = 0 and\n\tw{LONG_INDEX} = 0", "too long", 2, 2),
+        (parse_ring_formula, "(w0\t+ w1\n) * (\tw0\n=\n1)", "expected ')', found '='", 3, 1),
+        (parse_ring_formula, "not (\n\tw0 = w1)\n\tv0", "trailing input 'v0'", 3, 2),
+        (parse_ring_formula, "\r\n w0 = 0 ->\r\n\t(w1 = 0 and ) ", "unexpected token ')'", 3, 14),
+        (parse_boole_formula, "v0 = 1 and\n\t\tv1 # v0", "unexpected character '#'", 2, 6),
+        (parse_boole_formula, "v0 = 1 or\n\tFin(v1) and\n\t\tv2 = 3", "only the constants", 3, 8),
+        (parse_boole_formula, "v0 = 1\n\tand\tx1 sub v0", "got 'x1'", 2, 6),
+    ],
+)
+def test_parse_error_positions_count_lines_and_tabs(parse, text, message, line, column):
+    """A line starts after each newline; every other character, a tab or a
+    carriage return too, is one column."""
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert message in str(exc.value)
+    assert str(exc.value).endswith(f"(line {line}, column {column})")
+
+
+def test_cap_error_names_the_position_of_the_first_token_past_the_cap():
+    with pytest.raises(FormulaCapError, match=r"\(line 2, column 6\)$"):
+        parse_boole_formula("not\t" * (MAX_FORMULA_TOKENS - 1) + "\n\t v0 = 1")
+
+
 def _at_stack_depth(depth: int, fn):
     """fn() called with depth more frames on the stack."""
     return fn() if depth == 0 else _at_stack_depth(depth - 1, fn)
@@ -148,10 +189,171 @@ def test_formulas_at_the_length_cap_stay_within_the_recursion_limit():
         parse_ring_formula("w0 = w0 and " * cap)
 
 
+def _frames_below(call) -> int:
+    """The deepest stack of Python frames that call() builds above its
+    caller's frame, counted by a profile hook so that the stack the test
+    runs on does not matter."""
+    depth = deepest = 0
+
+    def hook(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(hook)
+    try:
+        call()
+    except FormulaSyntaxError:
+        pass
+    finally:
+        sys.setprofile(None)
+    return deepest - 1  # the frame of call itself
+
+
+def test_parse_needs_at_most_two_frames_per_token():
+    """The deepest texts the length cap admits: unclosed '(' up to the cap,
+    and nestings of '(', 'not (' and quantifiers over half of it."""
+    cap = MAX_FORMULA_TOKENS
+    half = (cap - 3) // 2
+    third = (cap - 3) // 3
+    ring = [
+        "(" * (cap - 1) + "w0",
+        "(" * (cap - 3) + "w0 = w0",
+        "(" * half + "w0 = w0" + ")" * half,
+        "(" * half + "w0" + ")" * half + " = w0",
+        "not (" * third + "w0 = w0" + ")" * third,
+        "exists y " * half + "w0 = 0",
+    ]
+    boole = [
+        "(" * (cap - 1) + "v0",
+        "(" * half + "v0 = 1" + ")" * half,
+        "not (" * third + "v0 = 1" + ")" * third,
+        "exists v1 " * half + "v0 = 1",
+    ]
+    for parse, texts in ((parse_ring_formula, ring), (parse_boole_formula, boole)):
+        for text in texts:
+            frames = _frames_below(lambda: parse(text))
+            assert frames <= 2 * len(_tokenize(text)) + 10, (text, frames)
+
+
 def test_quantifier_scope_is_maximal():
     t = parse_ring_formula("exists y y = 0 and y = w0")
     assert isinstance(t, Exists)
     assert isinstance(t.body, And)
+
+
+# Precedence (-> below or below and; + and - below *) and associativity (->
+# to the right, the others to the left) for every ordered pair of binary
+# operators of each language, bare, after `not` (which binds tightest) and
+# after a quantifier (which takes the whole formula).
+RING_RENDERINGS = {
+    "w0 = 0 -> w1 = 1 -> w0 = w1": "(w0 = 0) -> ((w1 = 1) -> (w0 = w1))",
+    "not w0 = 0 -> w1 = 1 -> w0 = w1": "(not (w0 = 0)) -> ((w1 = 1) -> (w0 = w1))",
+    "exists y w0 = 0 -> w1 = 1 -> w0 = w1": "exists y ((w0 = 0) -> ((w1 = 1) -> (w0 = w1)))",
+    "w0 = 0 -> w1 = 1 or w0 = w1": "(w0 = 0) -> ((w1 = 1) or (w0 = w1))",
+    "not w0 = 0 -> w1 = 1 or w0 = w1": "(not (w0 = 0)) -> ((w1 = 1) or (w0 = w1))",
+    "exists y w0 = 0 -> w1 = 1 or w0 = w1": "exists y ((w0 = 0) -> ((w1 = 1) or (w0 = w1)))",
+    "w0 = 0 -> w1 = 1 and w0 = w1": "(w0 = 0) -> ((w1 = 1) and (w0 = w1))",
+    "not w0 = 0 -> w1 = 1 and w0 = w1": "(not (w0 = 0)) -> ((w1 = 1) and (w0 = w1))",
+    "exists y w0 = 0 -> w1 = 1 and w0 = w1": "exists y ((w0 = 0) -> ((w1 = 1) and (w0 = w1)))",
+    "w0 = 0 or w1 = 1 -> w0 = w1": "((w0 = 0) or (w1 = 1)) -> (w0 = w1)",
+    "not w0 = 0 or w1 = 1 -> w0 = w1": "((not (w0 = 0)) or (w1 = 1)) -> (w0 = w1)",
+    "exists y w0 = 0 or w1 = 1 -> w0 = w1": "exists y (((w0 = 0) or (w1 = 1)) -> (w0 = w1))",
+    "w0 = 0 or w1 = 1 or w0 = w1": "((w0 = 0) or (w1 = 1)) or (w0 = w1)",
+    "not w0 = 0 or w1 = 1 or w0 = w1": "((not (w0 = 0)) or (w1 = 1)) or (w0 = w1)",
+    "exists y w0 = 0 or w1 = 1 or w0 = w1": "exists y (((w0 = 0) or (w1 = 1)) or (w0 = w1))",
+    "w0 = 0 or w1 = 1 and w0 = w1": "(w0 = 0) or ((w1 = 1) and (w0 = w1))",
+    "not w0 = 0 or w1 = 1 and w0 = w1": "(not (w0 = 0)) or ((w1 = 1) and (w0 = w1))",
+    "exists y w0 = 0 or w1 = 1 and w0 = w1": "exists y ((w0 = 0) or ((w1 = 1) and (w0 = w1)))",
+    "w0 = 0 and w1 = 1 -> w0 = w1": "((w0 = 0) and (w1 = 1)) -> (w0 = w1)",
+    "not w0 = 0 and w1 = 1 -> w0 = w1": "((not (w0 = 0)) and (w1 = 1)) -> (w0 = w1)",
+    "exists y w0 = 0 and w1 = 1 -> w0 = w1": "exists y (((w0 = 0) and (w1 = 1)) -> (w0 = w1))",
+    "w0 = 0 and w1 = 1 or w0 = w1": "((w0 = 0) and (w1 = 1)) or (w0 = w1)",
+    "not w0 = 0 and w1 = 1 or w0 = w1": "((not (w0 = 0)) and (w1 = 1)) or (w0 = w1)",
+    "exists y w0 = 0 and w1 = 1 or w0 = w1": "exists y (((w0 = 0) and (w1 = 1)) or (w0 = w1))",
+    "w0 = 0 and w1 = 1 and w0 = w1": "((w0 = 0) and (w1 = 1)) and (w0 = w1)",
+    "not w0 = 0 and w1 = 1 and w0 = w1": "((not (w0 = 0)) and (w1 = 1)) and (w0 = w1)",
+    "exists y w0 = 0 and w1 = 1 and w0 = w1": "exists y (((w0 = 0) and (w1 = 1)) and (w0 = w1))",
+    "w0 + w1 + w2 = 0": "((w0 + w1) + w2) = 0",
+    "not w0 + w1 + w2 = 0": "not (((w0 + w1) + w2) = 0)",
+    "forall z w0 + w1 + w2 = 0": "forall z (((w0 + w1) + w2) = 0)",
+    "w0 + w1 - w2 = 0": "((w0 + w1) - w2) = 0",
+    "not w0 + w1 - w2 = 0": "not (((w0 + w1) - w2) = 0)",
+    "forall z w0 + w1 - w2 = 0": "forall z (((w0 + w1) - w2) = 0)",
+    "w0 + w1 * w2 = 0": "(w0 + (w1 * w2)) = 0",
+    "not w0 + w1 * w2 = 0": "not ((w0 + (w1 * w2)) = 0)",
+    "forall z w0 + w1 * w2 = 0": "forall z ((w0 + (w1 * w2)) = 0)",
+    "w0 - w1 + w2 = 0": "((w0 - w1) + w2) = 0",
+    "not w0 - w1 + w2 = 0": "not (((w0 - w1) + w2) = 0)",
+    "forall z w0 - w1 + w2 = 0": "forall z (((w0 - w1) + w2) = 0)",
+    "w0 - w1 - w2 = 0": "((w0 - w1) - w2) = 0",
+    "not w0 - w1 - w2 = 0": "not (((w0 - w1) - w2) = 0)",
+    "forall z w0 - w1 - w2 = 0": "forall z (((w0 - w1) - w2) = 0)",
+    "w0 - w1 * w2 = 0": "(w0 - (w1 * w2)) = 0",
+    "not w0 - w1 * w2 = 0": "not ((w0 - (w1 * w2)) = 0)",
+    "forall z w0 - w1 * w2 = 0": "forall z ((w0 - (w1 * w2)) = 0)",
+    "w0 * w1 + w2 = 0": "((w0 * w1) + w2) = 0",
+    "not w0 * w1 + w2 = 0": "not (((w0 * w1) + w2) = 0)",
+    "forall z w0 * w1 + w2 = 0": "forall z (((w0 * w1) + w2) = 0)",
+    "w0 * w1 - w2 = 0": "((w0 * w1) - w2) = 0",
+    "not w0 * w1 - w2 = 0": "not (((w0 * w1) - w2) = 0)",
+    "forall z w0 * w1 - w2 = 0": "forall z (((w0 * w1) - w2) = 0)",
+    "w0 * w1 * w2 = 0": "((w0 * w1) * w2) = 0",
+    "not w0 * w1 * w2 = 0": "not (((w0 * w1) * w2) = 0)",
+    "forall z w0 * w1 * w2 = 0": "forall z (((w0 * w1) * w2) = 0)",
+}
+BOOLE_RENDERINGS = {
+    "v0 = 0 -> v1 sub v0 -> Fin(v1)": "(v0 = 0) -> ((v1 sub v0) -> (Fin(v1)))",
+    "not v0 = 0 -> v1 sub v0 -> Fin(v1)": "(not (v0 = 0)) -> ((v1 sub v0) -> (Fin(v1)))",
+    "exists v2 v0 = 0 -> v1 sub v0 -> Fin(v1)":
+        "exists v2 ((v0 = 0) -> ((v1 sub v0) -> (Fin(v1))))",
+    "v0 = 0 -> v1 sub v0 or Fin(v1)": "(v0 = 0) -> ((v1 sub v0) or (Fin(v1)))",
+    "not v0 = 0 -> v1 sub v0 or Fin(v1)": "(not (v0 = 0)) -> ((v1 sub v0) or (Fin(v1)))",
+    "exists v2 v0 = 0 -> v1 sub v0 or Fin(v1)":
+        "exists v2 ((v0 = 0) -> ((v1 sub v0) or (Fin(v1))))",
+    "v0 = 0 -> v1 sub v0 and Fin(v1)": "(v0 = 0) -> ((v1 sub v0) and (Fin(v1)))",
+    "not v0 = 0 -> v1 sub v0 and Fin(v1)": "(not (v0 = 0)) -> ((v1 sub v0) and (Fin(v1)))",
+    "exists v2 v0 = 0 -> v1 sub v0 and Fin(v1)":
+        "exists v2 ((v0 = 0) -> ((v1 sub v0) and (Fin(v1))))",
+    "v0 = 0 or v1 sub v0 -> Fin(v1)": "((v0 = 0) or (v1 sub v0)) -> (Fin(v1))",
+    "not v0 = 0 or v1 sub v0 -> Fin(v1)": "((not (v0 = 0)) or (v1 sub v0)) -> (Fin(v1))",
+    "exists v2 v0 = 0 or v1 sub v0 -> Fin(v1)":
+        "exists v2 (((v0 = 0) or (v1 sub v0)) -> (Fin(v1)))",
+    "v0 = 0 or v1 sub v0 or Fin(v1)": "((v0 = 0) or (v1 sub v0)) or (Fin(v1))",
+    "not v0 = 0 or v1 sub v0 or Fin(v1)": "((not (v0 = 0)) or (v1 sub v0)) or (Fin(v1))",
+    "exists v2 v0 = 0 or v1 sub v0 or Fin(v1)":
+        "exists v2 (((v0 = 0) or (v1 sub v0)) or (Fin(v1)))",
+    "v0 = 0 or v1 sub v0 and Fin(v1)": "(v0 = 0) or ((v1 sub v0) and (Fin(v1)))",
+    "not v0 = 0 or v1 sub v0 and Fin(v1)": "(not (v0 = 0)) or ((v1 sub v0) and (Fin(v1)))",
+    "exists v2 v0 = 0 or v1 sub v0 and Fin(v1)":
+        "exists v2 ((v0 = 0) or ((v1 sub v0) and (Fin(v1))))",
+    "v0 = 0 and v1 sub v0 -> Fin(v1)": "((v0 = 0) and (v1 sub v0)) -> (Fin(v1))",
+    "not v0 = 0 and v1 sub v0 -> Fin(v1)": "((not (v0 = 0)) and (v1 sub v0)) -> (Fin(v1))",
+    "exists v2 v0 = 0 and v1 sub v0 -> Fin(v1)":
+        "exists v2 (((v0 = 0) and (v1 sub v0)) -> (Fin(v1)))",
+    "v0 = 0 and v1 sub v0 or Fin(v1)": "((v0 = 0) and (v1 sub v0)) or (Fin(v1))",
+    "not v0 = 0 and v1 sub v0 or Fin(v1)": "((not (v0 = 0)) and (v1 sub v0)) or (Fin(v1))",
+    "exists v2 v0 = 0 and v1 sub v0 or Fin(v1)":
+        "exists v2 (((v0 = 0) and (v1 sub v0)) or (Fin(v1)))",
+    "v0 = 0 and v1 sub v0 and Fin(v1)": "((v0 = 0) and (v1 sub v0)) and (Fin(v1))",
+    "not v0 = 0 and v1 sub v0 and Fin(v1)": "((not (v0 = 0)) and (v1 sub v0)) and (Fin(v1))",
+    "exists v2 v0 = 0 and v1 sub v0 and Fin(v1)":
+        "exists v2 (((v0 = 0) and (v1 sub v0)) and (Fin(v1)))",
+}
+
+
+def test_precedence_and_associativity_of_every_operator_pair():
+    for parse, renderings in (
+        (parse_ring_formula, RING_RENDERINGS),
+        (parse_boole_formula, BOOLE_RENDERINGS),
+    ):
+        for text, rendering in renderings.items():
+            tree = parse(text)
+            assert formula_to_text(tree) == rendering, text
+            assert parse(rendering) == tree, text
 
 
 def test_round_trip_identity_fixed():
@@ -207,6 +409,11 @@ def test_round_trip_identity_random():
         text = random_ring_formula(rng, max_free=2)
         tree = parse_ring_formula(text)
         assert parse_ring_formula(formula_to_text(tree)) == tree
+    for _ in range(200):
+        free = rng.sample(range(4), rng.randrange(3))
+        text = random_boole_formula(rng, free, rng.randrange(0 if free else 1, 4))
+        tree = parse_boole_formula(text)
+        assert parse_boole_formula(formula_to_text(tree)) == tree, text
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,8 @@ def test_keating_strictness():
     assert keating_bound(2, 4) == 11  # 2 + 2*4 = 10
     assert keating_bound(3, 3) == 5  # 3/2 + 3 = 4.5
     assert keating_bound(3, 2) == 2  # 3/2 + 0 = 1.5
-    for p in (2, 3, 5):
-        for e in (2, 3, 4, 6):
+    for p in primes_up_to(200):
+        for e in range(2, 130):
             s = keating_bound(p, e)
             assert Fraction(s) > Fraction(p, p - 1) + valuation(e, p) * e
             assert Fraction(s - 1) <= Fraction(p, p - 1) + valuation(e, p) * e
