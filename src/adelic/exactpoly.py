@@ -13,6 +13,7 @@ point is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .primes import is_prime
 
@@ -155,6 +156,17 @@ def _deriv(a: list[int], m: int | None) -> list[int]:
     return _trim(out)
 
 
+def _monomial_rows(f: list[int], count: int, m: int) -> list[list[int]]:
+    """x^k mod f over Z/m for k < count, f monic of degree n >= 1, each as n
+    coefficients: every row is x times the one before."""
+    n = len(f) - 1
+    rows = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(min(n, count))]
+    while len(rows) < count:
+        row = rows[-1]
+        rows.append([(s - row[-1] * c) % m for s, c in zip([0] + row[:-1], f)])
+    return rows
+
+
 class _Packed:
     """Products in F_p[x]/(f), f monic of degree n >= 1, on packed integers.
 
@@ -169,12 +181,8 @@ class _Packed:
         n = len(f) - 1
         self.n, self.p, self.w = n, p, (2 * n * p * p).bit_length()
         self.mask = (1 << self.w) - 1
-        # The reduction table: x^k mod f for k = n ... 2n-2, each x times the last.
-        row = [-c % p for c in f[:-1]]
-        self.table = []
-        for _ in range(n - 1):
-            self.table.append(self.pack(row))
-            row = [(s - row[-1] * c) % p for s, c in zip([0] + row[:-1], f)]
+        # The reduction table: x^k mod f for k = n ... 2n-2.
+        self.table = [self.pack(row) for row in _monomial_rows(f, 2 * n - 1, p)[n:]]
 
     def pack(self, a: list[int]) -> int:
         v = 0
@@ -212,6 +220,66 @@ class _Packed:
             a = self.mul(a, a)
             exp >>= 1
         return result
+
+
+class _PackedLattice:
+    """Products in (Z/m)[y]/(g)[x]/(E) modulo a diagonal lattice, on
+    mixed-radix codes; g is monic of degree f and E monic of degree e over Z/m.
+
+    An element is e*f digits, the coefficient of x^j y^k at index j*f + k,
+    and digit i is taken modulo radix[i], a divisor of m; its code is the
+    sum of digit i times place[i], the product of the radices below i.  Packed, digit (j, k) sits in
+    slot j*(2f-1) + k of w bits, so the slots (J, K) of a product, J <= 2e-2
+    and K <= 2f-2, do not overlap.  A product is one big-int multiplication;
+    each slot outside the basis (J >= e or K >= f) is reduced mod m and
+    folded back through a table of x^J y^K mod (g, E), and each basis digit
+    is then reduced mod its radix.  That is exact when the lattice of the
+    radices is an ideal of the quotient containing m, as pi^s O is in O/pi^s.
+    A slot of w bits holds any value up to (2e-1)(2f-1) * (m-1)^2: the e*f
+    partial products of a slot plus one term from each of the
+    (2e-1)(2f-1) - e*f table rows, so no carry crosses a slot.
+    """
+
+    def __init__(self, g: list[int], eis: list[int], m: int, radix: list[int], place: list[int]):
+        f, e = len(g) - 1, len(eis) - 1
+        stride = 2 * f - 1
+        slots = [(j, k) for j in range(2 * e - 1) for k in range(stride)]
+        self.m = m
+        self.w = w = (len(slots) * (m - 1) ** 2).bit_length()
+        self.mask = (1 << w) - 1
+        shifts = [(j * stride + k) * w for j in range(e) for k in range(f)]
+        # (place value in a code, radix, shift in a packed int) of each digit
+        self.digits = list(zip(place, radix, shifts))
+
+        def pack(digits: list[int]) -> int:
+            return sum(d << s for d, s in zip(digits, shifts))
+
+        self.basis = pack([self.mask] * len(shifts))
+        xs, ys = _monomial_rows(eis, 2 * e - 1, m), _monomial_rows(g, stride, m)
+        # The reduction table: (shift of slot (J, K), packed x^J y^K mod (g, E)).
+        self.table = [
+            ((J * stride + K) * w, pack([x * y % m for x, y in product(xs[J], ys[K])]))
+            for J, K in slots
+            if J >= e or K >= f
+        ]
+
+    def mul(self, a: int, b: int) -> int:
+        """The code of the product of the elements with codes a and b."""
+        mask, m = self.mask, self.m
+        x = y = 0
+        for v, r, s in self.digits:
+            x |= a // v % r << s
+            y |= b // v % r << s
+        c = x * y
+        acc = c & self.basis
+        for shift, row in self.table:
+            top = (c >> shift & mask) % m
+            if top:
+                acc += top * row
+        code = 0
+        for v, r, s in self.digits:
+            code += (acc >> s & mask) % r * v
+        return code
 
 
 def _powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:

@@ -10,8 +10,8 @@ constructions:
   valuation ring of a local field with ramification index e and residue
   degree f; the totally ramified part is presented by a monic Eisenstein
   polynomial (not needed when e == 1).  An element is one flat list of
-  coefficients, multiplied with exactpoly's schoolbook list product by
-  Kronecker substitution; a residue field (s == 1) of order at most
+  coefficients, and a product is one packed fold of exactpoly
+  (``_PackedLattice``); a residue field (s == 1) of order at most
   MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
@@ -27,8 +27,9 @@ checked by running it from the map's images of the generators.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from .exactpoly import IntPoly, _divmod_monic, _mul, _Packed, irreducible_modp
+from .exactpoly import IntPoly, _Packed, _PackedLattice, irreducible_modp
 from .primes import is_prime
 
 __all__ = [
@@ -147,8 +148,13 @@ class LocalQuotientRing(FiniteRing):
     An element is one flat list of e*f integers: the coefficient of x^j y^k
     sits at index j*f + k and is taken modulo p^ceil((s-j)/e).  The code is
     that list read as mixed-radix digits, index 0 lowest; this gives order
-    p^(f*s) and characteristic p^ceil(s/e).  Multiplication is one exactpoly
-    product by Kronecker substitution, then reduction by g and by E.
+    p^(f*s) and characteristic p^ceil(s/e).  A product is exactpoly's packed
+    fold on the codes, whose table is built on the first product: the digits
+    of each factor packed into one int with slot (j, k) at stride 2f - 1, one
+    big-int product, every slot outside the basis folded back through a
+    table of x^J y^K reduced by g and E over Z/p^c, and each digit reduced
+    mod its radix.  That last step is exact because pi^s O is the diagonal
+    lattice of the radices p^ceil((s-j)/e).
 
     When s == 1 the ring is the field F_p[y]/(g) of order q = p^f, and a
     code's base-p digits are its coefficients in y.  A field of order at most
@@ -176,11 +182,6 @@ class LocalQuotientRing(FiniteRing):
         # Unramified, O/pi^s does not depend on the polynomial; it is only checked.
         self.eis = tuple(c % self.pc for c in eisenstein.coeffs) if e > 1 else None
         self.g = [c % self.pc for c in irreducible_modp(p, f).lift().coeffs]
-        # E(z^f), or z^f when unramified: E has scalar coefficients, so
-        # reducing the flat list by it reduces each y-coefficient by E(x).
-        self.modulus = [0] * (e * f + 1)
-        for j, c in enumerate(self.eis or (0, 1)):
-            self.modulus[j * f] = c
         self.radix = [p ** (-(-(s - j) // e)) for j in range(e) for _ in range(f)]
         self.place = [1]
         for m in self.radix[:-1]:
@@ -216,22 +217,12 @@ class LocalQuotientRing(FiniteRing):
                 exp, log = tables
                 return exp[(log[a] + log[b]) % len(exp)]
             return 0
-        va, vb = self._decode(a), self._decode(b)
-        f, pc = self.f, self.pc
-        if f == 1:
-            prod = _mul(va, vb, pc)
-        else:
-            # At stride 2f-1 the y-products of different x-powers cannot
-            # overlap; padding only between blocks leaves no all-zero block.
-            w = 2 * f - 1
-            gap = [0] * (f - 1)
-            sa, sb = (v[:f] + [c for i in range(f, len(v), f) for c in gap + v[i : i + f]] for v in (va, vb))
-            wide = _mul(sa, sb, pc)
-            prod = []
-            for i in range(0, len(wide), w):
-                block = _divmod_monic(wide[i : i + w], self.g, pc)[1]
-                prod += block + [0] * (f - len(block))
-        return self._encode(_divmod_monic(prod, self.modulus, pc)[1])
+        return self._kernel.mul(a, b)
+
+    @cached_property
+    def _kernel(self) -> _PackedLattice:
+        # x is the unramified E: its degree e = 1 leaves no x-slot to fold.
+        return _PackedLattice(self.g, list(self.eis or (0, 1)), self.pc, self.radix, self.place)
 
     def _log_tables(self) -> tuple[list[int], list[int]]:
         """exp[i], the code of u^i for i < q - 1, and log, its inverse on the

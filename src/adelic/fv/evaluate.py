@@ -13,12 +13,20 @@ construction.
 
 A generalized sentence is a Boolean-side formula applied to index sets of the
 form [[theta]] = {i : stalk_i satisfies theta at the given global elements}.
+
+Both languages are evaluated by compiling a formula once into nested
+closures: dispatch on node kind and the keys of bound variables are settled
+at compile time, and a stalk's constants and bound add/sub/mul (or an index
+set's top element) when the closures are bound to it.  theta_set compiles
+theta and checks its depth once, then binds it to each stalk in turn.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, product
+from operator import itemgetter
 
 from ..finring import FiniteRing, _is_isomorphism, find_ring_isomorphism
 from .family import MAX_INDEX_SET, MAX_STALK_ORDER, FiniteFamily
@@ -91,36 +99,60 @@ class GeneralizedSentence:
 
 
 # ---------------------------------------------------------------------------
-# One walk over the connectives and quantifiers of both languages.
+# One compiler for the connectives and quantifiers of both languages.  A
+# compiled node is a function of a context (a stalk, or an index set) that
+# returns a predicate on env, which maps free-variable indices and bound keys
+# to values; the combinators below build those predicates.
 
-_COMPOUND = frozenset((Not, And, Or, Implies, Exists, Forall))
+_CONNECTIVES = {
+    And: lambda left, right: lambda env: left(env) and right(env),
+    Or: lambda left, right: lambda env: left(env) or right(env),
+    Implies: lambda left, right: lambda env: not left(env) or right(env),
+}
 
 
-def _holds(node: Formula, env: dict, atom, domain) -> bool:
-    """Truth of node under env, which maps free-variable indices and bound
-    keys to values: atom(node, env) decides an atom, and a quantifier binds
-    its variable to each value of domain(env) in turn."""
+def _negation(holds):
+    return lambda env: not holds(env)
+
+
+def _constant(value):
+    return lambda env: value
+
+
+def _quantifier(key, want: bool, holds, values):
+    """Exists (want True) or forall (want False): key is bound to each of
+    values(env) in turn, and whatever it held before is restored."""
+
+    def quantified(env):
+        outer = env.get(key)  # a shadowed binding, or None for a fresh name
+        try:
+            for value in values(env):
+                env[key] = value
+                if holds(env) is want:
+                    return want
+            return not want
+        finally:
+            env[key] = outer
+
+    return quantified
+
+
+def _compile(node: Formula, atom, domain):
+    """node as a function of a context that returns its truth on env:
+    atom(node) compiles an atom the same way, and a quantifier ranges over
+    domain(context)(env)."""
     kind = type(node)
-    if kind not in _COMPOUND:
-        return atom(node, env)
-    if kind is And:
-        return _holds(node.left, env, atom, domain) and _holds(node.right, env, atom, domain)
-    if kind is Or:
-        return _holds(node.left, env, atom, domain) or _holds(node.right, env, atom, domain)
+    if kind in _CONNECTIVES:
+        join = _CONNECTIVES[kind]
+        left, right = _compile(node.left, atom, domain), _compile(node.right, atom, domain)
+        return lambda context: join(left(context), right(context))
     if kind is Not:
-        return not _holds(node.body, env, atom, domain)
-    if kind is Implies:
-        return not _holds(node.left, env, atom, domain) or _holds(node.right, env, atom, domain)
-    key, want = _var_key(node.var), kind is Exists
-    outer = env.get(key)  # a shadowed binding, or None for a fresh name
-    try:
-        for value in domain(env):
-            env[key] = value
-            if _holds(node.body, env, atom, domain) is want:
-                return want
-        return not want
-    finally:
-        env[key] = outer
+        body = _compile(node.body, atom, domain)
+        return lambda context: _negation(body(context))
+    if kind is not Exists and kind is not Forall:
+        return atom(node)
+    key, want, body = _var_key(node.var), kind is Exists, _compile(node.body, atom, domain)
+    return lambda context: _quantifier(key, want, body(context), domain(context))
 
 
 def _environment(free, assignment, name: str) -> dict:
@@ -138,44 +170,73 @@ def _environment(free, assignment, name: str) -> dict:
 # ---------------------------------------------------------------------------
 # Ring-formula satisfaction over one stalk.
 
+_RING_OPERATIONS = {RAdd: "add", RSub: "sub", RMul: "mul"}
 
-def _eval_term(term: RingTerm, ring: FiniteRing, env: dict) -> int:
+
+def _ring_term(term: RingTerm):
+    """term as a function of a stalk that returns its value on env."""
     kind = type(term)
-    if kind is RVar:
-        return env[term.index]
-    if kind is RBound:
-        return env[term.name]
+    if kind is RVar or kind is RBound:
+        get = itemgetter(term.index if kind is RVar else term.name)
+        return lambda ring: get
     if kind is RConst:
-        return ring.one if term.value == 1 else ring.zero
-    left, right = _eval_term(term.left, ring, env), _eval_term(term.right, ring, env)
-    if kind is RAdd:
-        return ring.add(left, right)
-    if kind is RSub:
-        return ring.sub(left, right)
-    if kind is RMul:
-        return ring.mul(left, right)
-    raise TypeError(f"unexpected term {term!r}")
+        name = "one" if term.value == 1 else "zero"
+        return lambda ring: _constant(getattr(ring, name))
+    name = _RING_OPERATIONS.get(kind)
+    if name is None:
+        raise TypeError(f"unexpected term {term!r}")
+    left, right = _ring_term(term.left), _ring_term(term.right)
+    return lambda ring: _operation(getattr(ring, name), left(ring), right(ring))
 
 
-def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
+def _operation(op, left, right):
+    return lambda env: op(left(env), right(env))
+
+
+def _equal(left, right):
+    return lambda env: left(env) == right(env)
+
+
+def _ring_atom(node: REq):
+    left, right = _ring_term(node.left), _ring_term(node.right)
+    return lambda ring: _equal(left(ring), right(ring))
+
+
+def _stalk_domain(ring: FiniteRing):
+    elements = ring.elements()
+    return lambda env: elements
+
+
+@dataclass(frozen=True, slots=True)
+class _CompiledTheta:
+    """A ring formula checked against the depth cap and compiled: its free
+    w-indices, and bind(stalk), its truth in that stalk as a predicate on env."""
+
+    free: frozenset[int]
+    bind: Callable[[FiniteRing], Callable[[dict], bool]]
+
+
+def _compile_theta(theta: Formula) -> _CompiledTheta:
+    if quantifier_depth(theta) > MAX_QUANTIFIER_DEPTH:
+        raise EvalCapError(f"quantifier depth exceeds {MAX_QUANTIFIER_DEPTH}")
+    return _CompiledTheta(ring_free_vars(theta), _compile(theta, _ring_atom, _stalk_domain))
+
+
+def eval_ring_formula(theta, stalk: FiniteRing, assignment) -> bool:
     """First-order satisfaction of theta in one finite stalk.
 
-    assignment maps free w-indices to element codes (a sequence or a dict);
-    quantifiers range over every stalk element.
+    theta is a ring formula, or one that theta_set compiled once for all
+    its stalks.  assignment maps free w-indices to element codes (a sequence
+    or a dict); quantifiers range over every stalk element.
     """
     if stalk.order > MAX_STALK_ORDER:
         raise EvalCapError(f"stalk order {stalk.order} exceeds {MAX_STALK_ORDER}")
-    if quantifier_depth(theta) > MAX_QUANTIFIER_DEPTH:
-        raise EvalCapError(f"quantifier depth exceeds {MAX_QUANTIFIER_DEPTH}")
-    env = _environment(ring_free_vars(theta), assignment, "free variable w")
+    compiled = theta if isinstance(theta, _CompiledTheta) else _compile_theta(theta)
+    env = _environment(compiled.free, assignment, "free variable w")
     for code in env.values():
         if not 0 <= code < stalk.order:
             raise ValueError(f"element code {code} is not in the stalk")
-
-    def equal(node: REq, env: dict) -> bool:
-        return _eval_term(node.left, stalk, env) == _eval_term(node.right, stalk, env)
-
-    return _holds(theta, env, equal, lambda env: stalk.elements())
+    return compiled.bind(stalk)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +251,7 @@ def theta_set(theta: Formula, family: FiniteFamily, elements) -> frozenset[str]:
     that stalk.  Only the free indices are read.
     """
     env = _environment(ring_free_vars(theta), elements, "free variable w")
+    compiled = _compile_theta(theta)
     hits = []
     for i in family.index_set:
         stalk = family.stalks[i]
@@ -197,7 +259,7 @@ def theta_set(theta: Formula, family: FiniteFamily, elements) -> frozenset[str]:
         for code in local.values():
             if not 0 <= code < stalk.order:
                 raise ValueError(f"element code {code} is not in stalk {i!r}")
-        if eval_ring_formula(theta, stalk, local):
+        if eval_ring_formula(compiled, stalk, local):
             hits.append(i)
     return frozenset(hits)
 
@@ -213,6 +275,28 @@ def _cell_representatives(ordered: tuple[str, ...], env: dict):
     prefixes = [[cell[:k] for k in range(len(cell) + 1)] for cell in cells.values()]
     for parts in product(*prefixes):
         yield frozenset(chain.from_iterable(parts))
+
+
+def _subset_domain(universe: frozenset):
+    ordered = tuple(sorted(universe))
+    return lambda env: _cell_representatives(ordered, env)
+
+
+def _boole_atom(node: Formula):
+    """A Boolean atom as a function of the index set that returns its truth on env."""
+    kind = type(node)
+    if kind is BSub:
+        left, right = itemgetter(node.left.index), itemgetter(node.right.index)
+        return lambda universe: lambda env: left(env) <= right(env)
+    if kind is BEq:
+        return lambda universe: _equal(itemgetter(node.left.index), itemgetter(node.right.index))
+    if kind is BConst:
+        get, top = itemgetter(node.var.index), node.value == 1
+        return lambda universe: _equal(get, _constant(universe if top else frozenset()))
+    if kind is BFin:
+        # The ideal of finite subsets of a finite index set is everything.
+        return lambda universe: _constant(True)
+    raise TypeError(f"unexpected node {node!r}")
 
 
 def eval_boole(psi: Formula, index_set, assignment) -> bool:
@@ -231,22 +315,7 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
         env[idx] = value = frozenset(value)
         if not value <= universe:
             raise ValueError(f"assignment for v{idx} is not a subset of the index set")
-    ordered = tuple(sorted(universe))
-
-    def relation(node, env: dict) -> bool:
-        kind = type(node)
-        if kind is BSub:
-            return env[node.left.index] <= env[node.right.index]
-        if kind is BEq:
-            return env[node.left.index] == env[node.right.index]
-        if kind is BConst:
-            return env[node.var.index] == (universe if node.value == 1 else frozenset())
-        if kind is BFin:
-            # The ideal of finite subsets of a finite index set is everything.
-            return True
-        raise TypeError(f"unexpected node {node!r}")
-
-    return _holds(psi, env, relation, lambda env: _cell_representatives(ordered, env))
+    return _compile(psi, _boole_atom, _subset_domain)(universe)(env)
 
 
 def gen_product_eval(sentence: GeneralizedSentence, family: FiniteFamily, elements=()) -> bool:

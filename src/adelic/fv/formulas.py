@@ -4,7 +4,7 @@ Two first-order languages share one concrete ASCII syntax:
 
 * ring formulas over {+, -, *, 0, 1, =} with free variables w0, w1, ... and
   quantified variables named y or z (optionally suffixed with digits), e.g.
-  ``exists y (y*y = w0)``;
+  ``exists y (y*y = w0)``; indices and suffixes are ASCII digits;
 * Boolean-side formulas over the powerset algebra, with variables v0, v1, ...
   and atoms ``v0 = v1``, ``v0 sub v1``, ``Fin(v0)``, ``v0 = 0``, ``v0 = 1``.
 
@@ -261,16 +261,22 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _is_index(text: str) -> bool:
+    """Whether text is a nonempty run of ASCII digits: names take no other
+    script's digits, which int() would read as the same index."""
+    return text.isascii() and text.isdigit()
+
+
 def _is_ring_var(name: str) -> bool:
-    return name.startswith("w") and name[1:].isdecimal()
+    return name.startswith("w") and _is_index(name[1:])
 
 
 def _is_bound_name(name: str) -> bool:
-    return name[0] in ("y", "z") and (len(name) == 1 or name[1:].isdigit())
+    return name[0] in ("y", "z") and (len(name) == 1 or _is_index(name[1:]))
 
 
 def _is_boole_var(name: str) -> bool:
-    return name.startswith("v") and name[1:].isdecimal()
+    return name.startswith("v") and _is_index(name[1:])
 
 
 # The binary operators of each language: token text -> (precedence, node
@@ -355,9 +361,9 @@ class _Parser:
             name = self.take("name")
             var = name.text
             if self.mode == "ring" and not _is_bound_name(var):
-                raise self._error(f"quantified ring variables are y/z names, got {var!r}")
+                raise self._error(f"quantified ring variables are y/z names, got {var!r}", name)
             if self.mode == "boole" and not _is_boole_var(var):
-                raise self._error(f"quantified Boolean variables are v names, got {var!r}")
+                raise self._error(f"quantified Boolean variables are v names, got {var!r}", name)
             if self.mode == "boole":
                 self._index(name)  # refuse here what _var_key could not convert
             outer = self.bound

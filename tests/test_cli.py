@@ -254,6 +254,10 @@ LONG_INDEX = "9" * 5000
        # superscript digits pass str.isdigit but not int()
        pytest.param(FV_FAMILY, None, "w\u00b2 = 0", "v0 = 1", id="superscript w-index"),
        pytest.param(FV_FAMILY, None, "w0 = 0", "exists v\u00b2 (v0 = 1)", id="superscript v-index"),
+       # other scripts' decimal digits pass str.isdecimal, and int() reads them
+       pytest.param(FV_FAMILY, None, "w\u0663 = 0", "v0 = 1", id="arabic-indic w-index"),
+       pytest.param(FV_FAMILY, None, "w0 = 0", "exists v\u0661 (v\u0661 sub v0)",
+                    id="arabic-indic quantified v-index"),
        pytest.param(FV_FAMILY, '[{"a": 1, "b": 1}]', "w1 = w0", "v0 = 1", id="elements lack w1"),
        pytest.param(FV_FAMILY, '[{"a": 1, "b": 1}]', "w99999999999 = 0", "v0 = 1",
                     id="elements lack w99999999999")],
@@ -278,6 +282,17 @@ def test_fv_eval_binds_only_the_indices_that_occur(tmp_path, capsys):
                        "--theta", "w99999999999 = 0")
     assert code == 0 and out.strip() == "true"
     assert time.perf_counter() - start < 3
+
+
+def test_fv_eval_non_ascii_digit_names_give_their_position(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(FV_FAMILY)
+    for theta, psi, where in (
+        ("w\u0663 = 0", "v0 = 1", "(line 1, column 1)"),
+        ("w0 = 0", "exists v\u0661 (v\u0661 sub v0)", "(line 1, column 8)"),
+    ):
+        code, out, err = run(capsys, "fv-eval", "--family", str(fam), "--psi", psi, "--theta", theta)
+        assert code == 2 and out == "" and err.rstrip().endswith(where), err
 
 
 def test_fv_eval_unbound_variable_names_its_position(tmp_path, capsys):

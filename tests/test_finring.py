@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from adelic import exactpoly, finring
 from adelic.exactpoly import IntPoly, _divmod_monic, _mul, irreducible_modp, parse_int_poly
 from adelic.finring import (
     LocalQuotientRing,
@@ -343,19 +344,22 @@ class ReferenceLocalQuotientRing:
         return self._encode(self._scalar_poly(self.p))
 
 
+def seeded_eisenstein(rng, p, e):
+    """A monic Eisenstein polynomial of degree e at p: constant term p*u with
+    p not dividing u, the other lower coefficients divisible by p."""
+    u = rng.randrange(1, p * p)
+    while u % p == 0:
+        u = rng.randrange(1, p * p)
+    return IntPoly([p * u] + [p * rng.randrange(-p, p + 1) for _ in range(e - 1)] + [1])
+
+
 def oracle_shapes():
     """(p, e, f, E, s) for p <= 7, e <= 4, f <= 3, s <= 6 and order <= 729,
     with a seeded Eisenstein polynomial E for each (p, e) when e > 1."""
     rng = random.Random(2024)
     for p in (2, 3, 5, 7):
         for e in range(1, 5):
-            eis = None
-            if e > 1:
-                # constant term p*u with p not dividing u; the rest divisible by p
-                u = rng.randrange(1, p * p)
-                while u % p == 0:
-                    u = rng.randrange(1, p * p)
-                eis = IntPoly([p * u] + [p * rng.randrange(-p, p + 1) for _ in range(e - 1)] + [1])
+            eis = seeded_eisenstein(rng, p, e) if e > 1 else None
             for f in range(1, 4):
                 for s in range(1, 7):
                     if p ** (f * s) <= 729:
@@ -384,10 +388,16 @@ def test_local_quotient_ring_codes_match_reference_arithmetic():
 
 
 def padded_block_mul(ring, a, b):
-    """LocalQuotientRing.mul as it was when every x-block, the last one too,
-    was padded with f - 1 zeros before the Kronecker product."""
+    """The list product: LocalQuotientRing.mul as it was when every x-block,
+    the last one too, was padded with f - 1 zeros before the Kronecker
+    product, and the result was reduced by g and then by E(z^f)."""
     va, vb = ring._decode(a), ring._decode(b)
     f, pc = ring.f, ring.pc
+    # E(z^f), or z^f when unramified: E has scalar coefficients, so reducing
+    # the flat list by it reduces each y-coefficient by E(x).
+    modulus = [0] * (ring.e * f + 1)
+    for j, c in enumerate(ring.eis or (0, 1)):
+        modulus[j * f] = c
     w = 2 * f - 1
     gap = [0] * (f - 1)
     sa, sb = ([c for i in range(0, len(v), f) for c in v[i : i + f] + gap] for v in (va, vb))
@@ -396,7 +406,7 @@ def padded_block_mul(ring, a, b):
     for i in range(0, len(wide), w):
         block = _divmod_monic(wide[i : i + w], ring.g, pc)[1]
         prod += block + [0] * (f - len(block))
-    return ring._encode(_divmod_monic(prod, ring.modulus, pc)[1])
+    return ring._encode(_divmod_monic(prod, modulus, pc)[1])
 
 
 def test_local_quotient_mul_matches_padding_every_block():
@@ -407,13 +417,6 @@ def test_local_quotient_mul_matches_padding_every_block():
         for a in ring.elements():
             for b in ring.elements():
                 assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
-
-
-def list_product_ring(p, e, f, eis, s):
-    """The same ring, made to keep the list product whatever its order."""
-    ring = LocalQuotientRing(p, e, f, eis, s)
-    ring._tables = ()
-    return ring
 
 
 def residue_field_shapes():
@@ -436,24 +439,24 @@ def test_log_tables_match_the_list_product_on_small_fields():
     shapes = list(residue_field_shapes())
     assert len(shapes) == 22 + 36
     for p, e, f, eis in shapes:
-        ring, ref = LocalQuotientRing(p, e, f, eis, 1), list_product_ring(p, e, f, eis, 1)
+        ring = LocalQuotientRing(p, e, f, eis, 1)
         # both products are commutative: the table's by construction, the
         # list product's by the reference test above
         for a in ring.elements():
             for b in range(a + 1):
-                assert ring.mul(a, b) == ref.mul(a, b), (ring.describe(), a, b)
+                assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
         assert ring._tables, ring.describe()
 
 
 def test_log_tables_match_the_list_product_on_large_fields():
     rng = random.Random(21)
     for p, f in LARGE_FIELDS:
-        ring, ref = LocalQuotientRing(p, 1, f, None, 1), list_product_ring(p, 1, f, None, 1)
+        ring = LocalQuotientRing(p, 1, f, None, 1)
         q = ring.order
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
         pairs += [(0, 1), (q - 1, 0), (1, q - 1), (q - 1, q - 1)]
         for a, b in pairs:
-            assert ring.mul(a, b) == ref.mul(a, b), (ring.describe(), a, b)
+            assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
         exp, log = ring._tables
         assert sorted(exp) == list(range(1, q))
         assert all(log[exp[i]] == i for i in range(q - 1))
@@ -467,7 +470,7 @@ def test_first_product_on_the_largest_fields_is_fast():
         assert time.perf_counter() - start < 1, ring.describe()
 
 
-def test_rings_past_the_table_bound_or_not_fields_keep_the_list_product(monkeypatch):
+def test_rings_past_the_table_bound_or_not_fields_use_the_packed_fold(monkeypatch):
     def refuse(self):
         raise AssertionError(f"tables built for {self.describe()}")
 
@@ -479,6 +482,77 @@ def test_rings_past_the_table_bound_or_not_fields_keep_the_list_product(monkeypa
         pairs = [(rng.randrange(ring.order), rng.randrange(ring.order)) for _ in range(200)]
         assert all(ring.mul(a, b) == ref.mul(a, b) for a, b in pairs), ring.describe()
         assert ring._tables == ()
+
+
+def quotient_shapes(max_order):
+    """(p, e, f, E, s) for every s > 1 ring of order <= max_order over
+    p <= 13 with e = 1...4 and f = 1...3, with a seeded E when e > 1."""
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 5):
+            eis = seeded_eisenstein(rng, p, e) if e > 1 else None
+            for f in range(1, 4):
+                for s in range(2, 21):
+                    if p ** (f * s) <= max_order:
+                        yield p, e, f, eis, s
+
+
+def test_packed_fold_matches_the_list_product_on_every_small_ring():
+    shapes = list(quotient_shapes(256))
+    assert len(shapes) == 84
+    for p, e, f, eis, s in shapes:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        # both products are commutative (see the tests above)
+        for a in ring.elements():
+            for b in range(a + 1):
+                assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
+
+
+def random_pairs(rng, ring, count):
+    """count seeded pairs of codes, and the pairs of the largest code, whose
+    digits are all at their maximum, with itself, 0 and 1."""
+    q = ring.order
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
+    return pairs + [(q - 1, q - 1), (q - 1, 0), (1, q - 1)]
+
+
+def test_packed_fold_matches_the_list_product_on_large_rings():
+    rng = random.Random(22)
+    shapes = [  # order 4096, the fv stalk cap
+        (2, 1, 1, None, 12),
+        (2, 4, 1, seeded_eisenstein(rng, 2, 4), 12),
+        (2, 2, 2, seeded_eisenstein(rng, 2, 2), 6),
+        (2, 3, 3, seeded_eisenstein(rng, 2, 3), 4),
+        (2, 4, 3, seeded_eisenstein(rng, 2, 4), 4),
+        (2, 1, 3, None, 4),
+    ]
+    # the order-121 pair at p = 11 that adele-iso compares
+    shapes += [(11, 2, 1, P("x^2-11"), 2), (11, 2, 1, P("x^2+11*x+33"), 2)]
+    # near DEFAULT_RING_ORDER_CAP = 2^20, with wide slots: c = 20, c = 5
+    # over nine product slots, and the square of a prime near 2^10
+    shapes += [(2, 1, 1, None, 20), (2, 2, 2, seeded_eisenstein(rng, 2, 2), 10), (1021, 1, 1, None, 2)]
+    for p, e, f, eis, s in shapes:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        assert ring.order in (4096, 121) or 2**19 < ring.order <= 2**20
+        for a, b in random_pairs(rng, ring, 400):
+            assert ring.mul(a, b) == padded_block_mul(ring, a, b), (ring.describe(), a, b)
+
+
+def test_no_list_product_is_left_in_the_ring_product(monkeypatch):
+    rings = [LocalQuotientRing(*shape) for shape in quotient_shapes(4096)]
+    rings.append(LocalQuotientRing(2, 1, 13, None, 1))  # a field past the table bound
+
+    def refuse(*args):
+        raise AssertionError("list product called")
+
+    # in finring too, where an import of either name would bind it
+    for module in (exactpoly, finring):
+        for name in ("_mul", "_divmod_monic"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rng = random.Random(24)
+    for ring in rings:
+        for a, b in random_pairs(rng, ring, 20):
+            assert 0 <= ring.mul(a, b) < ring.order
 
 
 # ---------------------------------------------------------------------------

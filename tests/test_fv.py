@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -34,10 +35,22 @@ from adelic.fv.formulas import (
     MAX_FORMULA_TOKENS,
     And,
     Exists,
+    Forall,
     FormulaCapError,
+    Implies,
+    Not,
+    Or,
+    RAdd,
+    RBound,
+    RConst,
+    RMul,
+    RSub,
+    RVar,
     _tokenize,
+    _var_key,
     quantifier_depth,
 )
+from test_finring import oracle_rings
 
 P = parse_int_poly
 
@@ -117,6 +130,11 @@ LONG_INDEX = "9" * 5000
         (parse_boole_formula, "v0 = 1 and\n\t\tv1 # v0", "unexpected character '#'", 2, 6),
         (parse_boole_formula, "v0 = 1 or\n\tFin(v1) and\n\t\tv2 = 3", "only the constants", 3, 8),
         (parse_boole_formula, "v0 = 1\n\tand\tx1 sub v0", "got 'x1'", 2, 6),
+        # names take ASCII digits only; int() would read these as 3 and 1
+        (parse_ring_formula, "w\u0663 = 0", "unknown ring variable", 1, 1),
+        (parse_ring_formula, "exists y\u0661 (y\u0661 = 0)", "quantified ring variables", 1, 8),
+        (parse_boole_formula, "exists v\u0661 (v\u0661 sub v0)", "quantified Boolean variables", 1, 8),
+        (parse_boole_formula, "v0 sub v\u0663", "Boolean variables are v<k>", 1, 8),
     ],
 )
 def test_parse_error_positions_count_lines_and_tabs(parse, text, message, line, column):
@@ -450,6 +468,119 @@ def test_eval_ring_formula_caps():
     )
     with pytest.raises(EvalCapError):
         eval_ring_formula(deep, ZmodRing(2), {})
+
+
+# Oracle: the tree walk that evaluated formulas before they were compiled.
+# It dispatches on the kind of every node at every visit.
+
+_COMPOUND = frozenset((Not, And, Or, Implies, Exists, Forall))
+
+
+def tree_walk_holds(node, env, atom, domain):
+    """Truth of node under env, which maps free-variable indices and bound
+    keys to values: atom(node, env) decides an atom, and a quantifier binds
+    its variable to each value of domain(env) in turn."""
+    kind = type(node)
+    if kind not in _COMPOUND:
+        return atom(node, env)
+    if kind is And:
+        return tree_walk_holds(node.left, env, atom, domain) and tree_walk_holds(node.right, env, atom, domain)
+    if kind is Or:
+        return tree_walk_holds(node.left, env, atom, domain) or tree_walk_holds(node.right, env, atom, domain)
+    if kind is Not:
+        return not tree_walk_holds(node.body, env, atom, domain)
+    if kind is Implies:
+        return not tree_walk_holds(node.left, env, atom, domain) or tree_walk_holds(node.right, env, atom, domain)
+    key, want = _var_key(node.var), kind is Exists
+    outer = env.get(key)  # a shadowed binding, or None for a fresh name
+    try:
+        for value in domain(env):
+            env[key] = value
+            if tree_walk_holds(node.body, env, atom, domain) is want:
+                return want
+        return not want
+    finally:
+        env[key] = outer
+
+
+def tree_walk_term(term, ring, env):
+    kind = type(term)
+    if kind is RVar:
+        return env[term.index]
+    if kind is RBound:
+        return env[term.name]
+    if kind is RConst:
+        return ring.one if term.value == 1 else ring.zero
+    left, right = tree_walk_term(term.left, ring, env), tree_walk_term(term.right, ring, env)
+    if kind is RAdd:
+        return ring.add(left, right)
+    if kind is RSub:
+        return ring.sub(left, right)
+    if kind is RMul:
+        return ring.mul(left, right)
+    raise TypeError(f"unexpected term {term!r}")
+
+
+def tree_walk_ring_formula(theta, ring, assignment):
+    def equal(node, env):
+        return tree_walk_term(node.left, ring, env) == tree_walk_term(node.right, ring, env)
+
+    return tree_walk_holds(theta, dict(assignment), equal, lambda env: ring.elements())
+
+
+def ring_formula_features(node, bound=frozenset()):
+    """The kinds of the nodes of a ring formula or term, with "shadow" for a
+    quantifier that rebinds a name in scope."""
+    kind = type(node)
+    if kind in (Exists, Forall):
+        shadow = {"shadow"} if node.var in bound else set()
+        return {kind} | shadow | ring_formula_features(node.body, bound | {node.var})
+    children = [getattr(node, name) for name in ("body", "left", "right") if hasattr(node, name)]
+    return {kind}.union(*(ring_formula_features(child, bound) for child in children))
+
+
+def shadowing_ring_formula(rng):
+    """Text of a quantifier whose body is a random formula, in which an
+    inner quantifier may rebind the same name, joined to an atom that may
+    read the name after it."""
+    name = rng.choice(["y", "z", "y1", "z2"])
+    inner = random_ring_formula(rng, 2, 2, (name,))
+    after = random_ring_formula(rng, 2, 0, (name,))
+    q, op = rng.choice(["exists", "forall"]), rng.choice(["and", "or", "->"])
+    return f"{q} {name} (({inner}) {op} ({after}))"
+
+
+def test_compiled_ring_formulas_match_the_tree_walk():
+    """eval_ring_formula on one stalk, and theta_set, which compiles theta
+    once for all its stalks, agree with the tree walk on seeded formulas."""
+    rng = random.Random(2323)
+    rings = oracle_rings()
+    # three nested quantifiers visit order^3 assignments, so they get the small rings
+    small = [r for r in rings if r.order <= 9]
+    features, truths = Counter(), set()
+    for trial in range(600):
+        if trial % 2:
+            theta = parse_ring_formula(shadowing_ring_formula(rng))
+        else:
+            theta = parse_ring_formula(random_ring_formula(rng, max_free=2, depth=3))
+        stalks = rng.sample(small if quantifier_depth(theta) == 3 else rings, 3)
+        labels = ("a", "b", "c")
+        elements = [{i: rng.randrange(r.order) for i, r in zip(labels, stalks)} for _ in range(2)]
+        expected = {
+            i: tree_walk_ring_formula(theta, r, {j: f[i] for j, f in enumerate(elements)})
+            for i, r in zip(labels, stalks)
+        }
+        where = (trial, formula_to_text(theta))
+        local = {j: f["a"] for j, f in enumerate(elements)}
+        assert eval_ring_formula(theta, stalks[0], local) == expected["a"], where
+        family = FiniteFamily(labels, dict(zip(labels, stalks)))
+        assert theta_set(theta, family, elements) == {i for i, v in expected.items() if v}, where
+        features.update(ring_formula_features(theta))
+        truths.update(expected.values())
+    assert truths == {False, True}
+    # free and bound variables, both constants, every operation, shadowing
+    for feature in (RVar, RBound, RConst, RAdd, RSub, RMul, Exists, Forall, "shadow"):
+        assert features[feature] >= 10, (feature, features[feature])
 
 
 # ---------------------------------------------------------------------------
