@@ -878,11 +878,18 @@ def irreducible_modp(p: int, d: int) -> ModPoly:
 
     Deterministic for fixed (p, d): candidates x^d + sum(c_i x^i) are tried
     with (c_0, ..., c_{d-1}) counting upward in base p, c_0 least significant.
+    For d = 1 the first candidate, x, is irreducible and is returned
+    untested; for d >= 2 a candidate with c_0 = 0 is divisible by x and is
+    skipped untested.
     """
     _require_prime(p)
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if d == 1:
+        return ModPoly(p, [0, 1])
     for k in range(p**d):
+        if k % p == 0:
+            continue
         coeffs = []
         v = k
         for _ in range(d):

@@ -1,16 +1,16 @@
 """Finite commutative rings with explicit element enumeration, and isomorphism testing.
 
-Elements are integer codes 0..order-1; each ring class decodes them into its
-own internal representation.  Operations are pure functions of codes, so a
-ring can be treated as an (implicit) pair of operation tables.  The main
-constructions:
+Elements are integer codes 0..order-1, and every operation is a pure
+function of codes, so a ring can be treated as an (implicit) pair of
+operation tables.  The main constructions:
 
 * ``ZmodRing(m)`` -- the ring Z/m,
 * ``LocalQuotientRing(p, e, f, eisenstein, s)`` -- the quotient O/pi^s of the
   valuation ring of a local field with ramification index e and residue
   degree f; the totally ramified part is presented by a monic Eisenstein
-  polynomial (not needed when e == 1).  An element is one flat list of
-  coefficients, and a product is one packed fold of exactpoly
+  polynomial (not needed when e == 1).  A code is the mixed-radix number
+  whose digits are the element's coefficients; add, neg and sub work digit
+  by digit on the code, and a product is one packed fold of exactpoly
   (``_PackedLattice``); a residue field (s == 1) of order at most
   MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
@@ -103,14 +103,6 @@ class FiniteRing:
             acc = self.mul(acc, a)
         return False
 
-    def validate_closure(self) -> None:
-        """Check that both operation tables stay inside the element set."""
-        els = list(self.elements())
-        for a in els:
-            for b in els:
-                if not (0 <= self.add(a, b) < self.order and 0 <= self.mul(a, b) < self.order):
-                    raise AssertionError(f"operation escapes the element set at ({a}, {b})")
-
     def __repr__(self) -> str:
         return f"<{self.describe()}>"
 
@@ -148,7 +140,10 @@ class LocalQuotientRing(FiniteRing):
     An element is one flat list of e*f integers: the coefficient of x^j y^k
     sits at index j*f + k and is taken modulo p^ceil((s-j)/e).  The code is
     that list read as mixed-radix digits, index 0 lowest; this gives order
-    p^(f*s) and characteristic p^ceil(s/e).  A product is exactpoly's packed
+    p^(f*s) and characteristic p^ceil(s/e).  add, neg and sub make one pass
+    over the (radix m, place w) pairs and build no list: the sum is the sum
+    of (a // w + b // w) % m * w, exact because a // w is congruent to the
+    digit of a at w modulo m.  A product is exactpoly's packed
     fold on the codes, whose table is built on the first product: the digits
     of each factor packed into one int with slot (j, k) at stride 2f - 1, one
     big-int product, every slot outside the basis folded back through a
@@ -186,6 +181,7 @@ class LocalQuotientRing(FiniteRing):
         self.place = [1]
         for m in self.radix[:-1]:
             self.place.append(self.place[-1] * m)
+        self._digits = list(zip(self.radix, self.place))
         self.order = p ** (f * s)
         self.zero = 0
         self.one = self._encode([1])
@@ -200,13 +196,25 @@ class LocalQuotientRing(FiniteRing):
         return code
 
     def _decode(self, code: int) -> list[int]:
-        return [code // w % m for m, w in zip(self.radix, self.place)]
+        return [code // w % m for m, w in self._digits]
 
     def add(self, a, b):
-        return self._encode([x + y for x, y in zip(self._decode(a), self._decode(b))])
+        code = 0
+        for m, w in self._digits:
+            code += (a // w + b // w) % m * w
+        return code
+
+    def sub(self, a, b):
+        code = 0
+        for m, w in self._digits:
+            code += (a // w - b // w) % m * w
+        return code
 
     def neg(self, a):
-        return self._encode([-x for x in self._decode(a)])
+        code = 0
+        for m, w in self._digits:
+            code += -(a // w) % m * w
+        return code
 
     def mul(self, a, b):
         tables = self._tables
@@ -344,6 +352,7 @@ def _graph(
     Otherwise it is the graph of an injective homomorphism, defined on all of
     ring1 because gens generate it, hence a bijection when the orders agree.
     """
+    add1, add2, mul1, mul2 = ring1.add, ring2.add, ring1.mul, ring2.mul
     graph: dict[int, int] = {}
     reached: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -366,7 +375,7 @@ def _graph(
         new = (
             pair
             for c, d in pairs[: i + 1]
-            for pair in ((ring1.add(a, c), ring2.add(b, d)), (ring1.mul(a, c), ring2.mul(b, d)))
+            for pair in ((add1(a, c), add2(b, d)), (mul1(a, c), mul2(b, d)))
         )
         i += 1
 

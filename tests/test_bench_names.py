@@ -53,3 +53,26 @@ def test_every_traced_name_resolves():
     missing = [f"{module}.{attr}" for module, attr in names if not resolves(module, attr)]
     assert missing == []
 
+
+# Ring element ops that find_ring_isomorphism makes on a pair of order 121 at
+# p = 11, the largest rings that adele-iso compares.  The search closes the
+# same pairs however the arithmetic is done, so only a change of the search
+# moves this count; calls that bypass the class methods, which RingOpCounter
+# wraps, lower it.
+RING_OPS_OF_THE_ORDER_121_SEARCH = 31_785
+
+
+def test_ring_op_counter_sees_every_op_of_the_search():
+    from adelic.exactpoly import parse_int_poly
+    from adelic.finring import LocalQuotientRing, find_ring_isomorphism
+
+    r1 = LocalQuotientRing(11, 2, 1, parse_int_poly("x^2-11"), 2)
+    r2 = LocalQuotientRing(11, 2, 1, parse_int_poly("x^2+11*x+33"), 2)
+    counter = load_tracing().RingOpCounter()
+    counter.install()
+    try:
+        iso = find_ring_isomorphism(r1, r2)
+    finally:
+        counter.uninstall()
+    assert iso is not None
+    assert counter.count == RING_OPS_OF_THE_ORDER_121_SEARCH

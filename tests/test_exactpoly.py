@@ -837,6 +837,22 @@ def test_irreducible_modp_is_deterministic_and_irreducible():
             assert _brute_irreducible(f)
 
 
+def first_irreducible_by_full_search(p, d):
+    """irreducible_modp as it was before it skipped candidates: every
+    x^d + sum(c_i x^i) tested in base-p order, c_0 least significant."""
+    for k in range(p**d):
+        coeffs = [k // p**i % p for i in range(d)]
+        cand = ModPoly(p, coeffs + [1])
+        if is_irreducible_modp(cand):
+            return cand
+
+
+def test_irreducible_modp_matches_the_full_search():
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 7):
+            assert irreducible_modp(p, d) == first_irreducible_by_full_search(p, d), (p, d)
+
+
 def test_is_irreducible_modp_against_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")

@@ -24,12 +24,21 @@ from adelic.finring import (
 P = parse_int_poly
 
 
+def validate_closure(ring):
+    """Check that both operation tables stay inside the element set."""
+    els = list(ring.elements())
+    for a in els:
+        for b in els:
+            if not (0 <= ring.add(a, b) < ring.order and 0 <= ring.mul(a, b) < ring.order):
+                raise AssertionError(f"operation escapes the element set at ({a}, {b})")
+
+
 def enumerate_ring(ring):
     """Brute-force sanity data: full addition/multiplication closure check and
     ring-axiom spot checks."""
     els = list(ring.elements())
     assert len(els) == ring.order
-    ring.validate_closure()
+    validate_closure(ring)
     rng = random.Random(ring.order)
     sample = els if len(els) <= 32 else rng.sample(els, 32)
     for a in sample:
@@ -484,15 +493,15 @@ def test_rings_past_the_table_bound_or_not_fields_use_the_packed_fold(monkeypatc
         assert ring._tables == ()
 
 
-def quotient_shapes(max_order):
-    """(p, e, f, E, s) for every s > 1 ring of order <= max_order over
-    p <= 13 with e = 1...4 and f = 1...3, with a seeded E when e > 1."""
+def quotient_shapes(max_order, min_s=2):
+    """(p, e, f, E, s) for every ring with s >= min_s of order <= max_order
+    over p <= 13 with e = 1...4 and f = 1...3, with a seeded E when e > 1."""
     rng = random.Random(23)
     for p in (2, 3, 5, 7, 11, 13):
         for e in range(1, 5):
             eis = seeded_eisenstein(rng, p, e) if e > 1 else None
             for f in range(1, 4):
-                for s in range(2, 21):
+                for s in range(min_s, 21):
                     if p ** (f * s) <= max_order:
                         yield p, e, f, eis, s
 
@@ -553,6 +562,92 @@ def test_no_list_product_is_left_in_the_ring_product(monkeypatch):
     for ring in rings:
         for a, b in random_pairs(rng, ring, 20):
             assert 0 <= ring.mul(a, b) < ring.order
+
+
+# ---------------------------------------------------------------------------
+# Additive oracle: add, neg and sub as they were before they worked digit by
+# digit on the code, through lists of digits.  The digits are read off by
+# repeated division with remainder, not by the library's _decode.
+
+
+def digit_list(ring, code):
+    out = []
+    for m in ring.radix:
+        code, d = divmod(code, m)
+        out.append(d)
+    return out
+
+
+def from_digits(ring, digits):
+    code = 0
+    for d, m in zip(reversed(digits), reversed(ring.radix)):
+        code = code * m + d % m
+    return code
+
+
+def list_add(ring, a, b):
+    return from_digits(ring, [x + y for x, y in zip(digit_list(ring, a), digit_list(ring, b))])
+
+
+def list_neg(ring, a):
+    return from_digits(ring, [-x for x in digit_list(ring, a)])
+
+
+def list_sub(ring, a, b):
+    return from_digits(ring, [x - y for x, y in zip(digit_list(ring, a), digit_list(ring, b))])
+
+
+def test_one_pass_add_neg_sub_match_the_digit_lists_on_every_small_ring():
+    shapes = list(quotient_shapes(256, min_s=1))
+    assert len(shapes) == 144
+    for p, e, f, eis, s in shapes:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        els = ring.elements()
+        digits = [digit_list(ring, a) for a in els]
+        assert [ring.neg(a) for a in els] == [list_neg(ring, a) for a in els], ring.describe()
+        for a, da in zip(els, digits):
+            sums = [from_digits(ring, [x + y for x, y in zip(da, db)]) for db in digits]
+            diffs = [from_digits(ring, [x - y for x, y in zip(da, db)]) for db in digits]
+            assert [ring.add(a, b) for b in els] == sums, (ring.describe(), a)
+            assert [ring.sub(a, b) for b in els] == diffs, (ring.describe(), a)
+
+
+def test_one_pass_add_neg_sub_match_the_digit_lists_on_large_rings():
+    rng = random.Random(26)
+    shapes = [  # order 4096, the fv stalk cap, and a prime field just below it
+        (2, 1, 1, None, 12),
+        (2, 4, 1, seeded_eisenstein(rng, 2, 4), 12),
+        (2, 2, 2, seeded_eisenstein(rng, 2, 2), 6),
+        (2, 3, 3, seeded_eisenstein(rng, 2, 3), 4),
+        (2, 1, 3, None, 4),
+        (2, 1, 12, None, 1),
+        (4093, 1, 1, None, 1),
+        # near DEFAULT_RING_ORDER_CAP = 2^20, with digits of radices 16 and 8
+        (2, 3, 2, seeded_eisenstein(rng, 2, 3), 10),
+    ]
+    for p, e, f, eis, s in shapes:
+        ring = LocalQuotientRing(p, e, f, eis, s)
+        assert ring.order in (4096, 4093) or 2**19 < ring.order <= 2**20
+        for a, b in random_pairs(rng, ring, 400):
+            assert ring.add(a, b) == list_add(ring, a, b), (ring.describe(), a, b)
+            assert ring.sub(a, b) == list_sub(ring, a, b), (ring.describe(), a, b)
+            assert ring.neg(a) == list_neg(ring, a), (ring.describe(), a)
+
+
+def test_no_digit_list_is_left_in_the_additive_operations(monkeypatch):
+    rings = [LocalQuotientRing(*shape) for shape in quotient_shapes(4096, min_s=1)]
+
+    def refuse(*args):
+        raise AssertionError("digit list built")
+
+    monkeypatch.setattr(LocalQuotientRing, "_decode", refuse)
+    monkeypatch.setattr(LocalQuotientRing, "_encode", refuse)
+    rng = random.Random(27)
+    for ring in rings:
+        for a, b in random_pairs(rng, ring, 20):
+            assert ring.add(a, b) == list_add(ring, a, b)
+            assert ring.sub(a, b) == list_sub(ring, a, b)
+            assert ring.neg(a) == list_neg(ring, a)
 
 
 # ---------------------------------------------------------------------------
