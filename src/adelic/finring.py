@@ -9,8 +9,8 @@ operation tables.  The main constructions:
   valuation ring of a local field with ramification index e and residue
   degree f; the totally ramified part is presented by a monic Eisenstein
   polynomial (not needed when e == 1).  A code is the mixed-radix number
-  whose digits are the element's coefficients; add, neg and sub work digit
-  by digit on the code, and a product is one packed fold of exactpoly
+  whose digits are the element's coefficients; add and neg work digit by
+  digit on the code, and a product is one packed fold of exactpoly
   (``_PackedLattice``); a residue field (s == 1) of order at most
   MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
@@ -140,8 +140,8 @@ class LocalQuotientRing(FiniteRing):
     An element is one flat list of e*f integers: the coefficient of x^j y^k
     sits at index j*f + k and is taken modulo p^ceil((s-j)/e).  The code is
     that list read as mixed-radix digits, index 0 lowest; this gives order
-    p^(f*s) and characteristic p^ceil(s/e).  add, neg and sub make one pass
-    over the (radix m, place w) pairs and build no list: the sum is the sum
+    p^(f*s) and characteristic p^ceil(s/e).  add and neg make one pass over
+    the (radix m, place w) pairs and build no list: the sum is the sum
     of (a // w + b // w) % m * w, exact because a // w is congruent to the
     digit of a at w modulo m.  A product is exactpoly's packed
     fold on the codes, whose table is built on the first product: the digits
@@ -178,10 +178,11 @@ class LocalQuotientRing(FiniteRing):
         self.eis = tuple(c % self.pc for c in eisenstein.coeffs) if e > 1 else None
         self.g = [c % self.pc for c in irreducible_modp(p, f).lift().coeffs]
         self.radix = [p ** (-(-(s - j) // e)) for j in range(e) for _ in range(f)]
-        self.place = [1]
+        place = [1]
         for m in self.radix[:-1]:
-            self.place.append(self.place[-1] * m)
-        self._digits = list(zip(self.radix, self.place))
+            place.append(place[-1] * m)
+        # (radix m, place w) of each digit, index 0 lowest.
+        self.digits = list(zip(self.radix, place))
         self.order = p ** (f * s)
         self.zero = 0
         self.one = self._encode([1])
@@ -191,28 +192,22 @@ class LocalQuotientRing(FiniteRing):
     def _encode(self, coeffs: list[int]) -> int:
         # coeffs may be shorter than e*f; missing entries are zero.
         code = 0
-        for c, m, w in zip(coeffs, self.radix, self.place):
+        for c, (m, w) in zip(coeffs, self.digits):
             code += c % m * w
         return code
 
     def _decode(self, code: int) -> list[int]:
-        return [code // w % m for m, w in self._digits]
+        return [code // w % m for m, w in self.digits]
 
     def add(self, a, b):
         code = 0
-        for m, w in self._digits:
+        for m, w in self.digits:
             code += (a // w + b // w) % m * w
-        return code
-
-    def sub(self, a, b):
-        code = 0
-        for m, w in self._digits:
-            code += (a // w - b // w) % m * w
         return code
 
     def neg(self, a):
         code = 0
-        for m, w in self._digits:
+        for m, w in self.digits:
             code += -(a // w) % m * w
         return code
 
@@ -230,7 +225,7 @@ class LocalQuotientRing(FiniteRing):
     @cached_property
     def _kernel(self) -> _PackedLattice:
         # x is the unramified E: its degree e = 1 leaves no x-slot to fold.
-        return _PackedLattice(self.g, list(self.eis or (0, 1)), self.pc, self.radix, self.place)
+        return _PackedLattice(self.g, list(self.eis or (0, 1)), self.pc, self.radix, [w for _, w in self.digits])
 
     def _log_tables(self) -> tuple[list[int], list[int]]:
         """exp[i], the code of u^i for i < q - 1, and log, its inverse on the
