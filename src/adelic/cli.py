@@ -251,6 +251,8 @@ def _parse_elements(text: str, family) -> tuple[dict, ...]:
         elements = json.loads(text)
     except ValueError as exc:
         raise _CliError(f"--elements is not JSON: {exc}", EXIT_PARSE) from exc
+    except RecursionError:
+        raise _CliError("--elements is nested too deeply", EXIT_PARSE) from None
     if not isinstance(elements, list) or not all(isinstance(f, dict) for f in elements):
         raise _CliError("--elements must be a JSON list of label -> code objects", EXIT_PARSE)
     for j, f in enumerate(elements):

@@ -157,10 +157,10 @@ def _deriv(a: list[int], m: int | None) -> list[int]:
 
 
 def _monomial_rows(f: list[int], count: int, m: int) -> list[list[int]]:
-    """x^k mod f over Z/m for k < count, f monic of degree n >= 1, each as n
-    coefficients: every row is x times the one before."""
-    n = len(f) - 1
-    rows = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(min(n, count))]
+    """x^k mod f over Z/m for k = n ... n + count - 1, f monic of degree
+    n >= 1, each as n coefficients: x^n is -f below its leading term, and
+    every row is x times the one before."""
+    rows = [[-c % m for c in f[:-1]]] if count else []
     while len(rows) < count:
         row = rows[-1]
         rows.append([(s - row[-1] * c) % m for s, c in zip([0] + row[:-1], f)])
@@ -168,48 +168,81 @@ def _monomial_rows(f: list[int], count: int, m: int) -> list[list[int]]:
 
 
 class _Packed:
-    """Products in F_p[x]/(f), f monic of degree n >= 1, on packed integers.
+    """Products in (Z/m)[y]/(g)[x]/(E) on packed integers, g monic of degree
+    f >= 1 and E monic of degree e >= 1 over Z/m.  E = x, the default, gives
+    (Z/m)[y]/(g) with e = 1; with m a prime p that is the F_p[x]/(f) of the
+    factoring code, y read as x.
 
-    An element is one int: coefficient k, in [0, p), sits in bits
-    [k*w, (k+1)*w) (Kronecker substitution; von zur Gathen & Gerhard, Modern
-    Computer Algebra, 8.4).  A slot of w bits holds any value below 2n*p^2,
-    which bounds the n partial products of a slot of a product plus its
-    n - 1 reduction terms, so no carry crosses a slot.
+    An element is e*f coefficients, that of x^j y^k at index j*f + k, packed
+    into one int with coefficient (j, k) in the w-bit slot j*(2f-1) + k
+    (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4): the slots (J, K) of a product, J <= 2e-2 and K <= 2f-2,
+    do not overlap, and for E = x slot k sits at bit k*w.  A product is one
+    big-int multiplication; each slot outside the basis (J >= e or K >= f)
+    is reduced mod m and folded back through a table of x^J y^K mod (g, E).
+    A slot of w bits holds any value up to (2e-1)(2f-1)(m-1)^2: the e*f
+    partial products of a slot plus one term from each of the
+    (2e-1)(2f-1) - e*f table rows, so no carry crosses a slot.  For E = x
+    that is (2f-1)(m-1)^2, which also holds a sum of f products of a
+    coefficient and a reduced element, as in _frobenius.
     """
 
-    def __init__(self, f: list[int], p: int):
-        n = len(f) - 1
-        self.n, self.p, self.w = n, p, (2 * n * p * p).bit_length()
-        self.mask = (1 << self.w) - 1
-        # The reduction table: x^k mod f for k = n ... 2n-2.
-        self.table = [self.pack(row) for row in _monomial_rows(f, 2 * n - 1, p)[n:]]
+    def __init__(self, g: list[int], m: int, eis: tuple[int, ...] = (0, 1)):
+        f, e = len(g) - 1, len(eis) - 1
+        stride = 2 * f - 1
+        self.n, self.m = e * f, m
+        self.w = w = ((2 * e - 1) * stride * (m - 1) ** 2).bit_length()
+        self.mask = (1 << w) - 1
+        # The bit offset of each basis slot, in coefficient order.
+        self.shifts = [(j * stride + k) * w for j in range(e) for k in range(f)]
+        self.basis = self.pack([self.mask] * self.n)
+        # The reduction table: (shift of slot (J, K), packed x^J y^K mod (g, E)).
+        # Below row e an entry is y^K mod g, packed in row 0, moved up to row J.
+        ys = _monomial_rows(g, f - 1, m)
+        high = [(K * w, self.pack(y)) for K, y in enumerate(ys, f)]
+        self.table = [
+            (s + J * stride * w, row << J * stride * w) for J in range(e) for s, row in high
+        ]
+        if e > 1:
+            ys = [[int(k == K) for k in range(f)] for K in range(f)] + ys
+            self.table += [
+                ((J * stride + K) * w, self.pack([x * y % m for x, y in product(xs, ys[K])]))
+                for J, xs in enumerate(_monomial_rows(eis, e - 1, m), e)
+                for K in range(stride)
+            ]
 
     def pack(self, a: list[int]) -> int:
+        """The packed element of the coefficients a, each in [0, 2^w)."""
         v = 0
-        for c in reversed(a):
-            v = v << self.w | c
+        for c, s in zip(a, self.shifts):
+            v |= c << s
         return v
 
     def unpack(self, v: int) -> list[int]:
-        """Coefficient list of v, every slot reduced mod p."""
-        w, mask, p = self.w, self.mask, self.p
-        return _trim([(v >> s & mask) % p for s in range(0, self.n * w, w)])
+        """Coefficient list of v, every basis slot reduced mod m."""
+        mask, m = self.mask, self.m
+        return _trim([(v >> s & mask) % m for s in self.shifts])
 
-    def mul(self, a: int, b: int) -> int:
-        """a * b mod f: one big-int product, each high slot reduced mod p
-        and folded back through the table, then every slot reduced mod p."""
-        w, mask, p = self.w, self.mask, self.p
-        c = a * b
-        acc = c & (1 << self.n * w) - 1
-        c >>= self.n * w
-        for row in self.table:
-            top = (c & mask) % p
+    def fold(self, c: int) -> int:
+        """c, a product of two packed elements, with each slot outside the
+        basis reduced mod m and folded back through the table.  The basis
+        slots are left unreduced: mul reduces them mod m, and finring's
+        LocalQuotientRing each mod its digit's radix."""
+        mask, m = self.mask, self.m
+        acc = c & self.basis
+        for shift, row in self.table:
+            top = (c >> shift & mask) % m
             if top:
                 acc += top * row
-            c >>= w
+        return acc
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b mod (g, E), every basis slot reduced mod m."""
+        mask, m = self.mask, self.m
+        acc = self.fold(a * b)
         out = 0
-        for s in range((self.n - 1) * w, -1, -w):
-            out = out << w | (acc >> s & mask) % p
+        for s in self.shifts:
+            out |= (acc >> s & mask) % m << s
         return out
 
     def pow(self, a: int, exp: int) -> int:
@@ -220,66 +253,6 @@ class _Packed:
             a = self.mul(a, a)
             exp >>= 1
         return result
-
-
-class _PackedLattice:
-    """Products in (Z/m)[y]/(g)[x]/(E) modulo a diagonal lattice, on
-    mixed-radix codes; g is monic of degree f and E monic of degree e over Z/m.
-
-    An element is e*f digits, the coefficient of x^j y^k at index j*f + k,
-    and digit i is taken modulo radix[i], a divisor of m; its code is the
-    sum of digit i times place[i], the product of the radices below i.  Packed, digit (j, k) sits in
-    slot j*(2f-1) + k of w bits, so the slots (J, K) of a product, J <= 2e-2
-    and K <= 2f-2, do not overlap.  A product is one big-int multiplication;
-    each slot outside the basis (J >= e or K >= f) is reduced mod m and
-    folded back through a table of x^J y^K mod (g, E), and each basis digit
-    is then reduced mod its radix.  That is exact when the lattice of the
-    radices is an ideal of the quotient containing m, as pi^s O is in O/pi^s.
-    A slot of w bits holds any value up to (2e-1)(2f-1) * (m-1)^2: the e*f
-    partial products of a slot plus one term from each of the
-    (2e-1)(2f-1) - e*f table rows, so no carry crosses a slot.
-    """
-
-    def __init__(self, g: list[int], eis: list[int], m: int, radix: list[int], place: list[int]):
-        f, e = len(g) - 1, len(eis) - 1
-        stride = 2 * f - 1
-        slots = [(j, k) for j in range(2 * e - 1) for k in range(stride)]
-        self.m = m
-        self.w = w = (len(slots) * (m - 1) ** 2).bit_length()
-        self.mask = (1 << w) - 1
-        shifts = [(j * stride + k) * w for j in range(e) for k in range(f)]
-        # (place value in a code, radix, shift in a packed int) of each digit
-        self.digits = list(zip(place, radix, shifts))
-
-        def pack(digits: list[int]) -> int:
-            return sum(d << s for d, s in zip(digits, shifts))
-
-        self.basis = pack([self.mask] * len(shifts))
-        xs, ys = _monomial_rows(eis, 2 * e - 1, m), _monomial_rows(g, stride, m)
-        # The reduction table: (shift of slot (J, K), packed x^J y^K mod (g, E)).
-        self.table = [
-            ((J * stride + K) * w, pack([x * y % m for x, y in product(xs[J], ys[K])]))
-            for J, K in slots
-            if J >= e or K >= f
-        ]
-
-    def mul(self, a: int, b: int) -> int:
-        """The code of the product of the elements with codes a and b."""
-        mask, m = self.mask, self.m
-        x = y = 0
-        for v, r, s in self.digits:
-            x |= a // v % r << s
-            y |= b // v % r << s
-        c = x * y
-        acc = c & self.basis
-        for shift, row in self.table:
-            top = (c >> shift & mask) % m
-            if top:
-                acc += top * row
-        code = 0
-        for v, r, s in self.digits:
-            code += (acc >> s & mask) % r * v
-        return code
 
 
 def _powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
@@ -713,7 +686,7 @@ def _is_squarefree_modp(a: list[int], p: int) -> bool:
 def _frobenius_rows(k: _Packed) -> list[int]:
     """Packed rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p on
     F_p[x]/(f), with k the kernel for (f, p)."""
-    xp = k.pow(k.pack([0, 1]), k.p) if k.n > 1 else 0
+    xp = k.pow(k.pack([0, 1]), k.m) if k.n > 1 else 0
     rows = [k.pack([1])]
     for _ in range(k.n - 1):
         rows.append(k.mul(rows[-1], xp))
@@ -797,6 +770,7 @@ def _edf(f: list[int], d: int, p: int, rng: _Lcg) -> list[list[int]]:
     n = len(f) - 1
     if n == d:
         return [f]
+    k = _Packed(f, p)
     while True:
         a = _trim([rng.below(p) for _ in range(n)])
         if len(a) - 1 < 1:
@@ -805,16 +779,17 @@ def _edf(f: list[int], d: int, p: int, rng: _Lcg) -> list[list[int]]:
         if 1 <= len(g) - 1 < n:
             h = g
         else:
+            x = k.pack(a)
             if p == 2:
-                # Trace map a + a^2 + ... + a^(2^(d-1)) splits the factors.
-                t = a
-                acc = a
+                # Trace map a + a^2 + ... + a^(2^(d-1)) splits the factors;
+                # its d <= n/2 terms stay below a slot's bound 2n - 1.
+                t = x
                 for _ in range(d - 1):
-                    acc = _divmod_monic(_mul(acc, acc, p), f, p)[1]
-                    t = _add(t, acc, p)
+                    x = k.mul(x, x)
+                    t += x
+                t = k.unpack(t)
             else:
-                b = _powmod(a, (p**d - 1) // 2, f, p)
-                t = _sub(b, [1], p)
+                t = _sub(k.unpack(k.pow(x, (p**d - 1) // 2)), [1], p)
             h = _gcd_modp(t, f, p)
             if not (1 <= len(h) - 1 < n):
                 continue
@@ -861,16 +836,18 @@ def factor_modp(a: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]
     return [(ModPoly(p, c), m) for c, m in _factor_modp(_squarefree_parts(f, p), p, seed)]
 
 
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Irreducibility of the monic f of degree >= 1 over the prime field Z/p:
+    squarefree, and the distinct-degree stage finds no factor of degree
+    below that of f."""
+    return _is_squarefree_modp(f, p) and next(_distinct_degree_parts(f, p))[0] == len(f) - 1
+
+
 def is_irreducible_modp(a: ModPoly) -> bool:
-    """Irreducibility over Z/p: squarefree, and the distinct-degree stage
-    finds no factor of degree below the degree of a."""
+    """Irreducibility over Z/p; False for a polynomial of degree below 1."""
     p = a.modulus
     _require_prime(p)
-    n = a.degree
-    if n < 1:
-        return False
-    f = list(a.monic().coeffs)
-    return _is_squarefree_modp(f, p) and next(_distinct_degree_parts(f, p))[0] == n
+    return a.degree >= 1 and _is_irreducible(_monic_modp(list(a.coeffs), p), p)
 
 
 def irreducible_modp(p: int, d: int) -> ModPoly:
@@ -880,7 +857,7 @@ def irreducible_modp(p: int, d: int) -> ModPoly:
     with (c_0, ..., c_{d-1}) counting upward in base p, c_0 least significant.
     For d = 1 the first candidate, x, is irreducible and is returned
     untested; for d >= 2 a candidate with c_0 = 0 is divisible by x and is
-    skipped untested.
+    skipped untested.  p is proven prime once, not per candidate.
     """
     _require_prime(p)
     if d < 1:
@@ -890,14 +867,14 @@ def irreducible_modp(p: int, d: int) -> ModPoly:
     for k in range(p**d):
         if k % p == 0:
             continue
-        coeffs = []
+        cand = []
         v = k
         for _ in range(d):
-            coeffs.append(v % p)
+            cand.append(v % p)
             v //= p
-        cand = ModPoly(p, coeffs + [1])
-        if is_irreducible_modp(cand):
-            return cand
+        cand.append(1)
+        if _is_irreducible(cand, p):
+            return ModPoly(p, cand)
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 

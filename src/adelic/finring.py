@@ -10,8 +10,8 @@ operation tables.  The main constructions:
   degree f; the totally ramified part is presented by a monic Eisenstein
   polynomial (not needed when e == 1).  A code is the mixed-radix number
   whose digits are the element's coefficients; add and neg work digit by
-  digit on the code, and a product is one packed fold of exactpoly
-  (``_PackedLattice``); a residue field (s == 1) of order at most
+  digit on the code, and a product is one fold of exactpoly's packed
+  kernel (``_Packed``); a residue field (s == 1) of order at most
   MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .exactpoly import IntPoly, _Packed, _PackedLattice, irreducible_modp
+from .exactpoly import IntPoly, _Packed, irreducible_modp
 from .primes import is_prime
 
 __all__ = [
@@ -143,13 +143,14 @@ class LocalQuotientRing(FiniteRing):
     p^(f*s) and characteristic p^ceil(s/e).  add and neg make one pass over
     the (radix m, place w) pairs and build no list: the sum is the sum
     of (a // w + b // w) % m * w, exact because a // w is congruent to the
-    digit of a at w modulo m.  A product is exactpoly's packed
-    fold on the codes, whose table is built on the first product: the digits
-    of each factor packed into one int with slot (j, k) at stride 2f - 1, one
-    big-int product, every slot outside the basis folded back through a
-    table of x^J y^K reduced by g and E over Z/p^c, and each digit reduced
-    mod its radix.  That last step is exact because pi^s O is the diagonal
-    lattice of the radices p^ceil((s-j)/e).
+    digit of a at w modulo m.  A product runs on exactpoly's packed kernel
+    for (Z/p^c)[y]/(g)[x]/(E), built on the first product: the digits of
+    each factor go to the kernel's slots, one big-int product is folded by
+    the kernel (every slot outside the basis reduced mod p^c and folded
+    back through its table of x^J y^K mod (g, E)), and each folded basis
+    slot is reduced mod its radix back into a code.  That last step is
+    exact because pi^s O is the diagonal lattice of the radices
+    p^ceil((s-j)/e), an ideal containing p^c.
 
     When s == 1 the ring is the field F_p[y]/(g) of order q = p^f, and a
     code's base-p digits are its coefficients in y.  A field of order at most
@@ -220,12 +221,24 @@ class LocalQuotientRing(FiniteRing):
                 exp, log = tables
                 return exp[(log[a] + log[b]) % len(exp)]
             return 0
-        return self._kernel.mul(a, b)
+        k, slots = self._kernel
+        x = y = 0
+        for w, m, s in slots:
+            x |= a // w % m << s
+            y |= b // w % m << s
+        acc, mask = k.fold(x * y), k.mask
+        code = 0
+        for w, m, s in slots:
+            code += (acc >> s & mask) % m * w
+        return code
 
     @cached_property
-    def _kernel(self) -> _PackedLattice:
-        # x is the unramified E: its degree e = 1 leaves no x-slot to fold.
-        return _PackedLattice(self.g, list(self.eis or (0, 1)), self.pc, self.radix, [w for _, w in self.digits])
+    def _kernel(self) -> tuple[_Packed, list[tuple[int, int, int]]]:
+        """The packed kernel, and the (place w, radix m, shift s) of each digit:
+        its place in a code and the bit offset of its slot in the kernel."""
+        # Unramified, E defaults to x: its degree e = 1 leaves no x-slot to fold.
+        k = _Packed(self.g, self.pc, self.eis or (0, 1))
+        return k, [(w, m, s) for (m, w), s in zip(self.digits, k.shifts)]
 
     def _log_tables(self) -> tuple[list[int], list[int]]:
         """exp[i], the code of u^i for i < q - 1, and log, its inverse on the

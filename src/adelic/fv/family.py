@@ -13,8 +13,9 @@ Supported stalk kinds: ``Zmod`` (m), ``GF`` (p, f), ``Unramified`` (p, f, s),
 and ``Eisenstein`` (p, e, s, coeffs[, f]) for truncated quotients of ramified
 valuation rings; every field and coefficient must be a JSON integer.  A
 stalk whose order, m or p^(f*s), exceeds MAX_STALK_ORDER is refused from its
-description, before any ring is built.  Ring elements are referred to by their
-integer codes.
+description, before any ring is built, and so is an ``Eisenstein`` stalk of
+degree e above MAX_DEGREE, whose multiplication table would take O(e^2) time
+and memory.  Ring elements are referred to by their integer codes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..exactpoly import IntPoly
+from ..exactpoly import MAX_DEGREE, IntPoly
 from ..finring import MAX_LOG_TABLE_ORDER, FiniteRing, LocalQuotientRing, ZmodRing
 
 __all__ = ["FiniteFamily", "stalk_from_spec", "family_from_json", "MAX_INDEX_SET"]
@@ -93,13 +94,18 @@ def stalk_from_spec(spec: dict) -> FiniteRing:
         if type(coeffs) is not list or any(type(c) is not int for c in coeffs):
             raise ValueError(f"stalk field 'coeffs' must be a list of integers, got {coeffs!r}")
         p, e, s = (_integer(spec, k) for k in ("p", "e", "s"))
+        if e > MAX_DEGREE:
+            raise ValueError(f"Eisenstein degree {e} > {MAX_DEGREE}")
         return _local_quotient(p, e, _integer(spec, "f", 1), IntPoly(coeffs), s)
     raise ValueError(f"unknown stalk kind {kind!r}")
 
 
 def family_from_json(doc: str | dict) -> FiniteFamily:
     """Load a family from a JSON string or an already-parsed document."""
-    data = json.loads(doc) if isinstance(doc, str) else doc
+    try:
+        data = json.loads(doc) if isinstance(doc, str) else doc
+    except RecursionError:
+        raise ValueError("family document is nested too deeply") from None
     if not isinstance(data, dict) or "index" not in data or "stalks" not in data:
         raise ValueError('family document needs "index" and "stalks" entries')
     index, specs = data["index"], data["stalks"]

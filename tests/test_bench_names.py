@@ -5,13 +5,15 @@ benchmark run."""
 import ast
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def load_bench(name: str):
+    """bench/<name>.py, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,7 +43,7 @@ def resolves(module: str, attr: str | None) -> bool:
 
 
 def test_every_traced_name_resolves():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     names = [(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED]
     imported = imported_names()
     # the collector sees imports inside functions, such as the harness's
@@ -68,7 +70,7 @@ def test_ring_op_counter_sees_every_op_of_the_search():
 
     r1 = LocalQuotientRing(11, 2, 1, parse_int_poly("x^2-11"), 2)
     r2 = LocalQuotientRing(11, 2, 1, parse_int_poly("x^2+11*x+33"), 2)
-    counter = load_tracing().RingOpCounter()
+    counter = load_bench("tracing").RingOpCounter()
     counter.install()
     try:
         iso = find_ring_isomorphism(r1, r2)
@@ -76,3 +78,17 @@ def test_ring_op_counter_sees_every_op_of_the_search():
         counter.uninstall()
     assert iso is not None
     assert counter.count == RING_OPS_OF_THE_ORDER_121_SEARCH
+
+
+def test_every_workload_stalk_loads():
+    """fv-eval's family files draw their stalks from the workload's
+    _random_stalk: each must pass the loader's caps with the order the
+    workload expects, so that a new cap fails here rather than turning
+    benchmark ops into failures."""
+    from adelic.fv import stalk_from_spec
+
+    workloads = load_bench("workloads")
+    rng = random.Random(25)
+    for _ in range(2000):
+        spec = workloads._random_stalk(rng)
+        assert stalk_from_spec(spec).order == workloads.stalk_facts(spec)["order"], spec

@@ -347,22 +347,54 @@ def test_fv_eval_unclosed_parentheses_at_the_length_cap(tmp_path, capsys, option
     assert code == 2 and out == "" and "line 1" in err
 
 
+def eisenstein_stalk(e: int) -> dict:
+    """An Eisenstein stalk of degree e over Z_2 with s = 2, order 4."""
+    return {"kind": "Eisenstein", "p": 2, "e": e, "s": 2, "coeffs": [2] + [0] * (e - 1) + [1]}
+
+
 @pytest.mark.parametrize(
-    "stalk, order",
+    "stalk, message",
     [
-        ({"kind": "Unramified", "p": 3, "f": 1, "s": 100000000}, "3^100000000"),
-        ({"kind": "GF", "p": 2, "f": 400}, "2^400"),
-        ({"kind": "Eisenstein", "p": 2, "e": 2, "s": 10**9, "coeffs": [2, 0, 1]}, "2^1000000000"),
-        ({"kind": "Zmod", "m": 4097}, "4097"),
+        ({"kind": "Unramified", "p": 3, "f": 1, "s": 100000000}, "stalk order 3^100000000 > 4096"),
+        ({"kind": "GF", "p": 2, "f": 400}, "stalk order 2^400 > 4096"),
+        ({"kind": "Eisenstein", "p": 2, "e": 2, "s": 10**9, "coeffs": [2, 0, 1]},
+         "stalk order 2^1000000000 > 4096"),
+        ({"kind": "Zmod", "m": 4097}, "stalk order 4097 > 4096"),
+        # small orders, but the multiplication table grows as e^2
+        (eisenstein_stalk(MAX_DEGREE + 1), f"Eisenstein degree {MAX_DEGREE + 1} > {MAX_DEGREE}"),
+        (eisenstein_stalk(12_800), f"Eisenstein degree 12800 > {MAX_DEGREE}"),
     ],
 )
-def test_fv_eval_refuses_oversized_stalk_from_its_description(tmp_path, capsys, stalk, order):
+def test_fv_eval_refuses_oversized_stalk_from_its_description(tmp_path, capsys, stalk, message):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"index": ["a"], "stalks": {"a": stalk}}))
     start = time.perf_counter()
     code, out, err = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0")
     assert time.perf_counter() - start < 1
-    assert code == 2 and out == "" and f"stalk order {order} > 4096" in err
+    assert code == 2 and out == "" and message in err
+
+
+def test_fv_eval_builds_an_eisenstein_stalk_at_the_degree_cap(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"index": ["a"], "stalks": {"a": eisenstein_stalk(MAX_DEGREE)}}))
+    code, out, _ = run(capsys, "fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0")
+    assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("where", ["family", "elements"])
+def test_fv_eval_refuses_deeply_nested_json(tmp_path, capsys, where):
+    """5,000 nested lists pass the interpreter's recursion limit inside the
+    JSON decoder: malformed input, not a traceback."""
+    nested = "[" * 5000
+    fam = tmp_path / "family.json"
+    fam.write_text(nested if where == "family" else FV_FAMILY)
+    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0"]
+    if where == "elements":
+        argv += ["--elements", nested]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1 and "nested too deeply" in err
 
 
 def _error_class(qualname: str) -> type:

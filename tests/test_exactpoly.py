@@ -524,8 +524,48 @@ def test_packed_kernel_matches_schoolbook_oracle():
             assert _powmod(base, exp, f, p) == reference_powmod(base, exp, f, p), (p, f)
             rows = _frobenius_rows(k)
             assert [k.unpack(r) for r in rows] == reference_frobenius_rows(f, p), (p, f)
-            h = _trim([rng.randrange(p) for _ in range(n)])
-            assert _frobenius(h, rows, k) == reference_powmod(h, p, f, p), (p, f)
+            for h in (_trim([rng.randrange(p) for _ in range(n)]), [p - 1] * n):
+                assert _frobenius(h, rows, k) == reference_powmod(h, p, f, p), (p, f, h)
+
+
+def reference_lattice_product(a, b, g, eis, m):
+    """a * b in (Z/m)[y]/(g)[x]/(E) by schoolbook, for a and b lists of e*f
+    coefficients, that of x^j y^k at index j*f + k: the product of the
+    double sums, each x-row reduced by g in y, then the rows above e - 1
+    reduced by x^e = -(E_0 + ... + E_(e-1) x^(e-1)) from the top."""
+    f, e = len(g) - 1, len(eis) - 1
+    rows = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            rows[i // f + j // f][i % f + j % f] += u * v
+    rows = [reference_divmod_monic(_trim(r), g, m)[1] for r in rows]
+    rows = [r + [0] * (f - len(r)) for r in rows]
+    for J in range(2 * e - 2, e - 1, -1):
+        for i in range(e):
+            rows[J - e + i] = [(u - eis[i] * t) % m for u, t in zip(rows[J - e + i], rows[J])]
+    return _trim([c for r in rows[:e] for c in r])
+
+
+def test_packed_kernel_over_an_eisenstein_tower_matches_schoolbook_oracle():
+    from adelic.exactpoly import _Packed
+
+    rng = random.Random(59)
+    for p, c in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (11, 2), (10007, 2)):
+        m = p**c
+        for e in (2, 3, 4):
+            for f in (1, 2, 3):
+                # All-(m - 1) factors modulo g = y^f + ... + 1 and
+                # E = x^e + ... + 1, whose first reduction rows are all
+                # m - 1, then random moduli and factors.
+                cases = [([1] * (f + 1), [1] * (e + 1), [m - 1] * (e * f), [m - 1] * (e * f))]
+                for _ in range(4):
+                    g = [rng.randrange(m) for _ in range(f)] + [1]
+                    eis = [rng.randrange(m) for _ in range(e)] + [1]
+                    cases.append((g, eis, *([rng.randrange(m) for _ in range(e * f)] for _ in "ab")))
+                for g, eis, a, b in cases:
+                    k = _Packed(g, m, eis)
+                    got = k.unpack(k.mul(k.pack(a), k.pack(b)))
+                    assert got == reference_lattice_product(a, b, g, eis, m), (m, g, eis, a, b)
 
 
 def test_divmod_monic_defers_reduction_without_changing_results():
@@ -851,6 +891,17 @@ def test_irreducible_modp_matches_the_full_search():
     for p in (2, 3, 5, 7, 11, 13):
         for d in range(1, 7):
             assert irreducible_modp(p, d) == first_irreducible_by_full_search(p, d), (p, d)
+
+
+def test_irreducible_modp_proves_p_prime_once(monkeypatch):
+    import adelic.exactpoly as exactpoly
+
+    calls = []
+    monkeypatch.setattr(exactpoly, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p, d in ((7, 3), (2, 8), (13, 4)):
+        calls.clear()
+        assert irreducible_modp(p, d).degree == d
+        assert calls == [p], (p, d)
 
 
 def test_is_irreducible_modp_against_sympy():
