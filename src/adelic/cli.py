@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 # Each layer is imported by the command that runs it, so a cold start pays
@@ -258,11 +259,14 @@ def _parse_elements(text: str, family) -> tuple[dict, ...]:
     for j, f in enumerate(elements):
         for i in family.index_set:
             if i not in f:
-                raise _CliError(f"--elements[{j}] has no code for label {i!r}", EXIT_PARSE)
+                raise _CliError(
+                    f"--elements[{j}] has no code for label {reprlib.repr(i)}", EXIT_PARSE
+                )
             code, order = f[i], family.stalks[i].order
             if type(code) is not int or not 0 <= code < order:
                 raise _CliError(
-                    f"--elements[{j}][{i!r}] is {code!r}, not a code in 0..{order - 1}",
+                    f"--elements[{j}][{reprlib.repr(i)}] is {reprlib.repr(code)}, "
+                    f"not a code in 0..{order - 1}",
                     EXIT_PARSE,
                 )
     return tuple(elements)

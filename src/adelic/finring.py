@@ -412,19 +412,16 @@ def _candidate_images(ring1: FiniteRing, ring2: FiniteRing, g: int) -> list[int]
     return out
 
 
-def find_ring_isomorphism(
-    ring1: FiniteRing, ring2: FiniteRing, cap: int = DEFAULT_RING_ORDER_CAP
-) -> dict[int, int] | None:
+def find_ring_isomorphism(ring1: FiniteRing, ring2: FiniteRing) -> dict[int, int] | None:
     """Explicit isomorphism (code map) between two finite commutative rings, or None.
 
     Tries images for a greedy generating set of ring1, in the lexicographic
     order of the candidate lists, and returns the first graph closure that
-    is a bijection (see _graph).
+    is a bijection (see _graph).  Raises RingCapExceededError, before any
+    work, when either order exceeds DEFAULT_RING_ORDER_CAP.
     """
-    if ring1.order > cap or ring2.order > cap:
-        raise RingCapExceededError(
-            f"ring order exceeds the cap {cap}; pass a larger cap explicitly"
-        )
+    if ring1.order > DEFAULT_RING_ORDER_CAP or ring2.order > DEFAULT_RING_ORDER_CAP:
+        raise RingCapExceededError(f"ring order exceeds the cap {DEFAULT_RING_ORDER_CAP}")
     if ring1.order != ring2.order:
         return None
     if ring1.characteristic() != ring2.characteristic():
@@ -439,9 +436,7 @@ def find_ring_isomorphism(
     return None
 
 
-def finite_ring_isomorphic(
-    ring1: FiniteRing, ring2: FiniteRing, cap: int = DEFAULT_RING_ORDER_CAP
-) -> bool:
+def finite_ring_isomorphic(ring1: FiniteRing, ring2: FiniteRing) -> bool:
     """Decide isomorphism of two finite commutative rings: whether the
     complete search of find_ring_isomorphism finds one."""
-    return find_ring_isomorphism(ring1, ring2, cap) is not None
+    return find_ring_isomorphism(ring1, ring2) is not None

@@ -21,6 +21,7 @@ and memory.  Ring elements are referred to by their integer codes.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from ..exactpoly import MAX_DEGREE, IntPoly
@@ -51,7 +52,7 @@ class FiniteFamily:
         for label, ring in stalks.items():
             if ring.order > MAX_STALK_ORDER:
                 raise ValueError(
-                    f"stalk {label!r} has order {ring.order} > {MAX_STALK_ORDER}"
+                    f"stalk {reprlib.repr(label)} has order {ring.order} > {MAX_STALK_ORDER}"
                 )
         object.__setattr__(self, "index_set", labels)
         object.__setattr__(self, "stalks", dict(stalks))
@@ -62,7 +63,7 @@ def _integer(spec: dict, name: str, default: int | None = None) -> int:
     a JSON integer."""
     value = spec[name] if default is None else spec.get(name, default)
     if type(value) is not int:  # refuses bool, float, string, list and null
-        raise ValueError(f"stalk field {name!r} must be an integer, got {value!r}")
+        raise ValueError(f"stalk field {name!r} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -92,12 +93,14 @@ def stalk_from_spec(spec: dict) -> FiniteRing:
     if kind == "Eisenstein":
         coeffs = spec["coeffs"]
         if type(coeffs) is not list or any(type(c) is not int for c in coeffs):
-            raise ValueError(f"stalk field 'coeffs' must be a list of integers, got {coeffs!r}")
+            raise ValueError(
+                f"stalk field 'coeffs' must be a list of integers, got {reprlib.repr(coeffs)}"
+            )
         p, e, s = (_integer(spec, k) for k in ("p", "e", "s"))
         if e > MAX_DEGREE:
             raise ValueError(f"Eisenstein degree {e} > {MAX_DEGREE}")
         return _local_quotient(p, e, _integer(spec, "f", 1), IntPoly(coeffs), s)
-    raise ValueError(f"unknown stalk kind {kind!r}")
+    raise ValueError(f"unknown stalk kind {reprlib.repr(kind)}")
 
 
 def family_from_json(doc: str | dict) -> FiniteFamily:

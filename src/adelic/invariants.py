@@ -13,7 +13,8 @@ an explicit statement of what was assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .exactpoly import IntPoly, squarefree_decomposition, sturm_real_roots
 from .finring import (
@@ -286,7 +287,6 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
     degree_check = K.degree == L.degree
     excluded = []
     compared = 0
-    witness = None
     for p in primes_up_to(B):
         if K.poly_disc % p == 0 or L.poly_disc % p == 0:
             excluded.append(p)
@@ -294,20 +294,16 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
         tk = splitting_type(decompose(K, p))
         tl = splitting_type(decompose(L, p))
         if tk != tl:
-            witness = (p, tk, tl)
-            break
+            return ArithEquivVerdict(
+                NOT_EQUIVALENT,
+                bound=B,
+                degree_check=degree_check,
+                witness_prime=p,
+                type_k=tk,
+                type_l=tl,
+                excluded_primes=tuple(excluded),
+            )
         compared += 1
-    if witness is not None:
-        p, tk, tl = witness
-        return ArithEquivVerdict(
-            NOT_EQUIVALENT,
-            bound=B,
-            degree_check=degree_check,
-            witness_prime=p,
-            type_k=tk,
-            type_l=tl,
-            excluded_primes=tuple(excluded),
-        )
     return ArithEquivVerdict(
         EQUIVALENT_UP_TO_BOUND,
         bound=B,
@@ -385,32 +381,21 @@ def residue_ring_construct(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e == 1:
-        ring = LocalQuotientRing(p, 1, f, None, s)
-        return ResidueRing(
-            presentation="unramified",
-            p=p,
-            e=1,
-            f=f,
-            s=s,
-            eisenstein_coeffs=None,
-            ring=ring,
-            order=ring.order,
-            characteristic=ring.characteristic(),
-        )
-    if local_factor is None:
+        local_factor = None
+    elif local_factor is None:
         return RingUndetermined("no-local-factor: ramified shape needs an Eisenstein polynomial")
-    if local_factor.degree != e or not local_factor.is_monic:
+    elif local_factor.degree != e or not local_factor.is_monic:
         return RingUndetermined("local-factor-degree: polynomial degree must equal e")
-    if not _is_eisenstein_at(local_factor, p):
+    elif not _is_eisenstein_at(local_factor, p):
         return RingUndetermined("not-eisenstein: local factor is not Eisenstein at p")
     ring = LocalQuotientRing(p, e, f, local_factor, s)
     return ResidueRing(
-        presentation="eisenstein",
+        presentation="unramified" if local_factor is None else "eisenstein",
         p=p,
         e=e,
         f=f,
         s=s,
-        eisenstein_coeffs=local_factor.coeffs,
+        eisenstein_coeffs=None if local_factor is None else local_factor.coeffs,
         ring=ring,
         order=ring.order,
         characteristic=ring.characteristic(),
@@ -470,15 +455,6 @@ class MatchedLocalPair:
     certificate: str
     truncation: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "e": self.e,
-            "f": self.f,
-            "certificate": self.certificate,
-            "truncation": self.truncation,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class UnmatchedLocalDatum:
@@ -489,9 +465,6 @@ class UnmatchedLocalDatum:
     f: int
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {"prime": self.prime, "e": self.e, "f": self.f, "reason": self.reason}
-
 
 @dataclass(frozen=True, slots=True)
 class AdeleIsoVerdict:
@@ -500,7 +473,8 @@ class AdeleIsoVerdict:
     kind is NotIsomorphic (reason + witness), IsomorphicCertified (every
     matched pair of local data carries a certificate), IsomorphicModuloAssumption
     (matching exists on (e, f) but some pairs lack a supported residue-ring
-    presentation; the assumption is named), or Undetermined.
+    presentation; the assumption is named), or Undetermined.  excluded_primes
+    lists the primes left out of the arithmetic-equivalence sweep.
     """
 
     kind: str
@@ -513,16 +487,7 @@ class AdeleIsoVerdict:
     excluded_primes: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "reason": self.reason,
-            "witness": self.witness,
-            "matching": [m.to_json_dict() for m in self.matching],
-            "unmatched": [u.to_json_dict() for u in self.unmatched],
-            "assumption_note": self.assumption_note,
-            "excluded_primes": list(self.excluded_primes),
-        }
+        return asdict(self)
 
 
 def _discriminant_cofactors(K: NumberField, L: NumberField, primes) -> list[int]:
@@ -548,145 +513,95 @@ def adele_iso_verdict(
     Pipeline: (1) bounded arithmetic equivalence -- a splitting-type witness
     refutes isomorphism; (2) archimedean signatures must agree; (3) at every
     prime <= B where either field is bad, the (e, f) multisets must biject,
-    and each matched pair is certified as _match_at_prime describes.  Pairs
+    and each matched pair is certified as _local_pair describes.  Pairs
     matched only on (e, f) downgrade the verdict to
     IsomorphicModuloAssumption, naming the assumption.
     """
     eq = arithmetic_equiv(K, L, B)
+    verdict = partial(AdeleIsoVerdict, bound=B, excluded_primes=eq.excluded_primes)
     if eq.kind == NOT_EQUIVALENT:
-        return AdeleIsoVerdict(
+        return verdict(
             NOT_ISOMORPHIC,
-            bound=B,
-            reason=(
-                f"splitting types differ at p={eq.witness_prime}: "
-                f"{eq.type_k} vs {eq.type_l}"
-            ),
+            reason=f"splitting types differ at p={eq.witness_prime}: {eq.type_k} vs {eq.type_l}",
             witness=eq.witness_prime,
-            excluded_primes=eq.excluded_primes,
         )
     sig_k, sig_l = signature(K), signature(L)
     if sig_k != sig_l:
-        return AdeleIsoVerdict(
+        return verdict(
             NOT_ISOMORPHIC,
-            bound=B,
-            reason=(
-                f"signature mismatch: ({sig_k.r1},{sig_k.r2}) vs ({sig_l.r1},{sig_l.r2})"
-            ),
-            excluded_primes=eq.excluded_primes,
+            reason=f"signature mismatch: ({sig_k.r1},{sig_k.r2}) vs ({sig_l.r1},{sig_l.r2})",
         )
     # The sweep ran to B without a witness, so its excluded primes are
     # exactly the primes <= B that are bad for K or L.
-    leftovers = _discriminant_cofactors(K, L, eq.excluded_primes)
-    identical = K.min_poly == L.min_poly
     matching: list[MatchedLocalPair] = []
     unmatched: list[UnmatchedLocalDatum] = []
     for p in eq.excluded_primes:
-        dk = decompose(K, p)
-        dl = decompose(L, p)
-        if not dk.is_resolved:
-            return AdeleIsoVerdict(
-                UNDETERMINED_VERDICT, bound=B, reason=f"K at p={p}: {dk.reason}", witness=p
-            )
-        if not dl.is_resolved:
-            return AdeleIsoVerdict(
-                UNDETERMINED_VERDICT, bound=B, reason=f"L at p={p}: {dl.reason}", witness=p
-            )
+        dk, dl = decompose(K, p), decompose(L, p)
+        for side, dec in (("K", dk), ("L", dl)):
+            if not dec.is_resolved:
+                reason = f"{side} at p={p}: {dec.reason}"
+                return verdict(UNDETERMINED_VERDICT, reason=reason, witness=p)
         if sorted(dk.factors) != sorted(dl.factors):
-            return AdeleIsoVerdict(
-                NOT_ISOMORPHIC,
-                bound=B,
-                reason=f"local (e, f) multisets differ at p={p}",
-                witness=p,
-            )
-        result = _match_at_prime(K, L, p, dk, identical, B)
-        if isinstance(result, AdeleIsoVerdict):
-            return result
-        pairs, misses = result
-        matching.extend(pairs)
-        unmatched.extend(misses)
-    for n in leftovers:
-        unmatched.append(
-            UnmatchedLocalDatum(
-                prime=0,
-                e=0,
-                f=0,
-                reason=f"discriminant cofactor {n} has prime divisors above the bound {B}",
-            )
-        )
-    if unmatched:
-        return AdeleIsoVerdict(
-            ISOMORPHIC_MODULO_ASSUMPTION,
-            bound=B,
-            matching=tuple(matching),
-            unmatched=tuple(unmatched),
-            assumption_note=ASSUMPTION_NOTE,
-            excluded_primes=eq.excluded_primes,
-        )
-    return AdeleIsoVerdict(
-        ISOMORPHIC_CERTIFIED,
-        bound=B,
-        matching=tuple(matching),
-        excluded_primes=eq.excluded_primes,
-    )
-
-
-def _match_at_prime(K, L, p, dk, identical, B):
-    """Certify the (already equal) local (e, f) multisets of K and L at p.
-
-    Identical defining polynomials certify every pair by identity.  An
-    unramified pair (e = 1) is certified by its residue degree alone: the
-    completion is the unramified extension of Q_p of degree f, so no ring is
-    built.  A totally ramified pair (f = 1, one prime above p) is certified
-    by comparing the Eisenstein residue rings at truncation keating_bound(p,
-    e); rings that differ refute isomorphism, and a ring over the 2^20 order
-    cap of find_ring_isomorphism leaves the pair unmatched.  Any other
-    ramified pair stays unmatched.
-    Returns (pairs, misses), or a NotIsomorphic verdict.
-    """
-    pairs: list[MatchedLocalPair] = []
-    misses: list[UnmatchedLocalDatum] = []
-    for e, f in dk.factors:
-        if identical:
-            pairs.append(MatchedLocalPair(p, e, f, "identical-local-data"))
-            continue
-        if e == 1:
-            pairs.append(
-                MatchedLocalPair(
-                    p, 1, f, "unramified-residue-ring", truncation=keating_bound(p, 1)
-                )
-            )
-            continue
-        if f == 1 and dk.factors == ((e, 1),):
-            ek = _eisenstein_shift(K, p)
-            el = _eisenstein_shift(L, p)
-            if ek is None or el is None:
-                misses.append(
-                    UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")
-                )
-                continue
-            # Both are monic Eisenstein of degree e, so both rings get built.
-            s = keating_bound(p, e)
-            rk = residue_ring_construct(p, e, 1, ek, s)
-            rl = residue_ring_construct(p, e, 1, el, s)
-            try:
-                same = find_ring_isomorphism(rk.ring, rl.ring) is not None
-            except RingCapExceededError:
-                misses.append(UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap"))
-                continue
-            if not same:
-                # Rings differ at a level that determines the field.
-                return AdeleIsoVerdict(
+            reason = f"local (e, f) multisets differ at p={p}"
+            return verdict(NOT_ISOMORPHIC, reason=reason, witness=p)
+        for e, f in dk.factors:
+            local = _local_pair(K, L, p, e, f)
+            if local is None:
+                return verdict(
                     NOT_ISOMORPHIC,
-                    bound=B,
                     reason=(
-                        f"residue rings at p={p} differ at truncation {s}, "
+                        f"residue rings at p={p} differ at truncation {keating_bound(p, e)}, "
                         "which separates the completions"
                     ),
                     witness=p,
                 )
-            pairs.append(MatchedLocalPair(p, e, f, "eisenstein-residue-ring", truncation=s))
-            continue
-        misses.append(
-            UnmatchedLocalDatum(p, e, f, "ramified local datum without a supported presentation")
+            (matching if isinstance(local, MatchedLocalPair) else unmatched).append(local)
+    for n in _discriminant_cofactors(K, L, eq.excluded_primes):
+        reason = f"discriminant cofactor {n} has prime divisors above the bound {B}"
+        unmatched.append(UnmatchedLocalDatum(0, 0, 0, reason))
+    if unmatched:
+        return verdict(
+            ISOMORPHIC_MODULO_ASSUMPTION,
+            matching=tuple(matching),
+            unmatched=tuple(unmatched),
+            assumption_note=ASSUMPTION_NOTE,
         )
-    return pairs, misses
+    return verdict(ISOMORPHIC_CERTIFIED, matching=tuple(matching))
+
+
+def _local_pair(
+    K: NumberField, L: NumberField, p: int, e: int, f: int
+) -> MatchedLocalPair | UnmatchedLocalDatum | None:
+    """Certify one (e, f) pair of the (already equal) local data of K and L at p.
+
+    Identical defining polynomials certify every pair by identity.  An
+    unramified pair (e = 1) is certified by its residue degree alone: the
+    completion is the unramified extension of Q_p of degree f, so no ring is
+    built.  A totally ramified pair (e = [K:Q], so f = 1 and one prime lies
+    above p) is certified by comparing the Eisenstein residue rings at
+    truncation keating_bound(p, e); a ring over the 2^20 order cap of
+    find_ring_isomorphism leaves the pair unmatched.  Any other ramified pair
+    stays unmatched.  Returns None when the rings differ, which refutes
+    isomorphism.
+    """
+    if K.min_poly == L.min_poly:
+        return MatchedLocalPair(p, e, f, "identical-local-data")
+    if e == 1:
+        return MatchedLocalPair(p, 1, f, "unramified-residue-ring", truncation=keating_bound(p, 1))
+    if e != K.degree:
+        reason = "ramified local datum without a supported presentation"
+        return UnmatchedLocalDatum(p, e, f, reason)
+    ek, el = _eisenstein_shift(K, p), _eisenstein_shift(L, p)
+    if ek is None or el is None:
+        return UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")
+    # Both are monic Eisenstein of degree e, so both rings get built.
+    s = keating_bound(p, e)
+    rk = residue_ring_construct(p, e, 1, ek, s)
+    rl = residue_ring_construct(p, e, 1, el, s)
+    try:
+        iso = find_ring_isomorphism(rk.ring, rl.ring)
+    except RingCapExceededError:
+        return UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap")
+    if iso is None:
+        return None
+    return MatchedLocalPair(p, e, f, "eisenstein-residue-ring", truncation=s)

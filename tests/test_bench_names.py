@@ -3,10 +3,17 @@ imports must exist, so that dropping one fails here rather than in a
 benchmark run."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import random
+import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -92,3 +99,35 @@ def test_every_workload_stalk_loads():
     for _ in range(2000):
         spec = workloads._random_stalk(rng)
         assert stalk_from_spec(spec).order == workloads.stalk_facts(spec)["order"], spec
+
+
+# One pair (and bound) for each kind of NotIsomorphic reason that adele-iso
+# gives: a splitting-type witness, a signature mismatch, local (e, f)
+# multisets that differ, and residue rings that differ.
+REFUTED_PAIRS = (
+    ("x^2-2", "x^2-3", 1000),
+    ("x^2-2", "x^2+2", 2),
+    ("x^2-5", "x^2-2", 2),
+    ("x^2-3", "x^2-7", 5),
+)
+
+
+@pytest.mark.parametrize("f, g, bound", REFUTED_PAIRS)
+def test_bench_checker_recognises_every_refutation(monkeypatch, f, g, bound):
+    """check.py fails an adele-iso op whose NotIsomorphic reason it does not
+    recognise, so a reworded reason fails here rather than in a benchmark run."""
+    from adelic.cli import main
+    from adelic.exactpoly import parse_int_poly
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # check.py imports the workload module by its bare name
+    monkeypatch.setitem(sys.modules, "workloads", load_bench("workloads"))
+    check = load_bench("check")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["adele-iso", f, g, "--bound", str(bound), "--format", "json"]) == 0
+    data = json.loads(out.getvalue())
+    assert data["kind"] == "NotIsomorphic"
+    ref = {"kind": "distinct", "polys": [parse_int_poly(f).coeffs, parse_int_poly(g).coeffs],
+           "bound": bound}
+    assert check._check_adele(0, ref, data, Counter()) is None

@@ -397,6 +397,31 @@ def test_fv_eval_refuses_deeply_nested_json(tmp_path, capsys, where):
     assert code == 2 and out == "" and err.count("\n") == 1 and "nested too deeply" in err
 
 
+# A 100,000-character index label on a one-stalk family.
+LONG_LABEL = "a" * 100_000
+
+
+@pytest.mark.parametrize(
+    "stalk, elements, field",
+    [
+        pytest.param({"kind": "Zmod", "m": 2}, "[{}]", "--elements[0] has no code for label",
+                     id="long label without a code"),
+        pytest.param({"kind": "Eisenstein", "p": 2, "e": 2, "s": 2, "coeffs": [1] * 12_800 + [1.5]},
+                     None, "stalk field 'coeffs'", id="long coeffs with a float"),
+        pytest.param({"kind": "Zmod", "m": 2}, json.dumps([{LONG_LABEL: int("7" * 4000)}]),
+                     "--elements[0]['aaa", id="long label with a long code"),
+    ],
+)
+def test_fv_eval_errors_cut_the_values_they_echo(tmp_path, capsys, stalk, elements, field):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"index": [LONG_LABEL], "stalks": {LONG_LABEL: stalk}}))
+    argv = ["fv-eval", "--family", str(fam), "--psi", "v0 = 1", "--theta", "w0 = w0"]
+    if elements is not None:
+        argv += ["--elements", elements]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.encode()) < 1000 and field in err
+
+
 def _error_class(qualname: str) -> type:
     module, _, name = qualname.rpartition(".")
     return getattr(importlib.import_module(module), name)

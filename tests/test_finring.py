@@ -232,7 +232,7 @@ def test_same_field_different_eisenstein_presentations_isomorphic():
 
 def test_cap_enforced():
     with pytest.raises(RingCapExceededError):
-        finite_ring_isomorphic(ZmodRing(4), ZmodRing(4), cap=2)
+        finite_ring_isomorphic(ZmodRing(2**20 + 1), ZmodRing(2**20 + 1))
 
 
 def test_find_isomorphism_returns_valid_map():

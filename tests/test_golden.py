@@ -9,7 +9,10 @@ Dedekind-cleared Kummer route and the one-level Newton route.  The fv-eval
 and adele-iso digests were recorded before the residue rings moved to flat
 coefficient lists; they pin the element codes of every stalk kind and the
 ramified residue-ring certificates.  The Boolean-quantifier digest was
-recorded before the ring and Boolean evaluators became one walk.
+recorded before the ring and Boolean evaluators became one walk.  The
+adele-iso branch digest was recorded, in text format, before the verdict
+pipeline became one pass over the local pairs; it pins the reason and the
+local entries of every verdict branch.
 """
 
 import contextlib
@@ -133,6 +136,35 @@ ADELE_PRESENTATION_PAIRS = (
 def test_adele_iso_output_of_presentation_pairs():
     argvs = [["adele-iso", f, g, "--format", "json"] for f, g in ADELE_PRESENTATION_PAIRS]
     assert _digest(argvs) == "52a7f4c6e3f06ff42de7582fb9d380829af9cef4f5a670f3b5aac39a89fd50fe"
+
+
+# One pair (and bound) for each branch of the adele-iso verdict.
+ADELE_BRANCHES = (
+    # a splitting-type witness
+    ("x^2-2", "x^2-3"),
+    # a signature mismatch
+    ("x^2-2", "x^2+2", "--bound", "2"),
+    # local (e, f) multisets that differ
+    ("x^2-5", "x^2-2", "--bound", "2"),
+    # residue rings that differ at the Keating level
+    ("x^2-3", "x^2-7", "--bound", "5"),
+    # Undetermined for L, then for K
+    ("x^8 - 3", "x^8 - 48", "--bound", "10"),
+    ("x^8 - 48", "x^8 - 3", "--bound", "10"),
+    # identical defining polynomials, and a discriminant cofactor above the bound
+    ("x^2-6", "x^2-6", "--bound", "2"),
+    # totally ramified with no Eisenstein shift
+    ("x^3-2", "x^3-4", "--bound", "2"),
+    # unramified, unsupported ramified and over-cap entries at one verdict
+    ("x^7 - 7*x + 3", "x^7 + 14*x^4 - 42*x^2 - 21*x + 9", "--bound", "164"),
+    # an Eisenstein certificate next to a discriminant cofactor
+    ("x^2 - 33*x - 11", "x^2 - 35*x + 23", "--bound", "100"),
+)
+
+
+def test_adele_iso_text_of_every_verdict_branch():
+    argvs = [["adele-iso", *args] for args in ADELE_BRANCHES]
+    assert _digest(argvs) == "348434df1556a89258f811a4ca069c9a0d6867d2d8f4a4ed57cb2b911f20a0ef"
 
 
 # Fourteen small stalks of all four kinds, chosen so that each ring template

@@ -477,6 +477,23 @@ def test_adele_assumption_for_unsupported_shapes():
     assert any(m.prime == 3 and m.e == 1 and m.certificate == "unramified-residue-ring" for m in v.matching)
 
 
+@pytest.mark.parametrize(
+    "f, g, bound, kind, excluded",
+    [
+        ("x^8 - 3", "x^8 - 48", 10, "Undetermined", (2, 3)),
+        ("x^2-5", "x^2-2", 2, "NotIsomorphic", (2,)),
+        ("x^2-3", "x^2-7", 5, "NotIsomorphic", (2, 3)),
+    ],
+)
+def test_adele_verdicts_after_the_sweep_list_its_excluded_primes(f, g, bound, kind, excluded):
+    # Undetermined, local (e, f) and residue-ring verdicts come after a sweep
+    # that reached the bound, so they list the primes it left out
+    v = adele_iso_verdict(NumberField(P(f)), NumberField(P(g)), bound)
+    assert v.kind == kind
+    assert v.excluded_primes == excluded
+    assert v.to_json_dict()["excluded_primes"] == excluded
+
+
 def test_adele_leftover_disc_factors_block_certification():
     # with the bound below the bad prime 3 of x^2-6's discriminant, the
     # verdict must not claim a full certificate
