@@ -15,19 +15,17 @@ operation tables.  The main constructions:
   MAX_LOG_TABLE_ORDER multiplies by discrete-logarithm tables instead,
 * ``PermutedRing(base, perm)`` -- the same ring with relabeled elements.
 
-Isomorphism testing rejects on order and characteristic, then tries images,
-filtered by additive order and idempotency, for a greedy generating set of
-the first ring.  An assignment is accepted when the subring of R1 x R2
-generated by (0, 0), (1, 1) and the (generator, image) pairs is the graph
-of a bijection: being closed under add and mul, that graph is a ring
-isomorphism.  This closure is the one isomorphism test: a given map is
-checked by running it from the map's images of the generators.
+Isomorphism testing has one closure (``_graph``): the subring of R1 x R2
+generated by (0, 0), (1, 1) and some seed pairs, refused once it is not the
+graph of an injective map; one that covers R1 is a ring isomorphism.  The
+search rejects on order and characteristic, then picks generators of R1 and
+their images depth first, closing the pairs chosen so far at each step.  A
+given map is checked by closing its own pairs.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exactpoly import IntPoly, _Packed, irreducible_modp
 from .primes import is_prime
@@ -126,6 +124,9 @@ class ZmodRing(FiniteRing):
 
     def neg(self, a):
         return (-a) % self.m
+
+    def characteristic(self) -> int:
+        return self.m
 
     def describe(self) -> str:
         return f"Z/{self.m}"
@@ -261,6 +262,9 @@ class LocalQuotientRing(FiniteRing):
             log[code] = i
         return exp, log
 
+    def characteristic(self) -> int:
+        return self.pc
+
     def uniformizer(self) -> int:
         """Code of the uniformizer: x when ramified, p when unramified."""
         return self._encode([0] * self.f + [1] if self.e > 1 else [self.p])
@@ -316,55 +320,17 @@ class PermutedRing(FiniteRing):
 # Isomorphism testing.
 
 
-def _generators(ring: FiniteRing) -> list[int]:
-    """Small generating set (as a unital ring) found greedily.
-
-    One closure of {0, 1} grows under add and mul; each time it stops
-    growing, the least code not yet reached becomes the next generator.
-    Both operations are commutative, so unordered pairs are enumerated once.
-    """
-    found = [ring.zero]
-    if ring.one != ring.zero:
-        found.append(ring.one)
-    seen = set(found)
-    gens: list[int] = []
-    least = 0
-    i = 0
-    while len(found) < ring.order:
-        if i == len(found):
-            while least in seen:
-                least += 1
-            gens.append(least)
-            seen.add(least)
-            found.append(least)
-        a = found[i]
-        for b in found[: i + 1]:
-            for r in (ring.add(a, b), ring.mul(a, b)):
-                if r not in seen:
-                    seen.add(r)
-                    found.append(r)
-                    if len(found) == ring.order:
-                        return gens
-        i += 1
-    return gens
-
-
-def _graph(
-    ring1: FiniteRing, ring2: FiniteRing, gens: list[int], images: tuple[int, ...]
-) -> dict[int, int] | None:
-    """The isomorphism sending gens to images, or None if there is none.
-
-    Closes (0, 0), (1, 1) and the pairs (g, h) under componentwise add and
-    mul: the subring of ring1 x ring2 they generate.  It is refused at the
+def _graph(ring1: FiniteRing, ring2: FiniteRing, seeds: list[tuple[int, int]]) -> dict[int, int] | None:
+    """The subring of ring1 x ring2 generated by (0, 0), (1, 1) and the seed
+    pairs, closed under componentwise add and mul, as a dict; None at the
     first element of ring1 with two images or the first image reached twice.
-    Otherwise it is the graph of an injective homomorphism, defined on all of
-    ring1 because gens generate it, hence a bijection when the orders agree.
-    """
+    A dict is the graph of an injective homomorphism from the subring of
+    ring1 that the seeds' first entries generate."""
     add1, add2, mul1, mul2 = ring1.add, ring2.add, ring1.mul, ring2.mul
     graph: dict[int, int] = {}
     reached: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    new = [(ring1.zero, ring2.zero), (ring1.one, ring2.one), *zip(gens, images)]
+    new = [(ring1.zero, ring2.zero), (ring1.one, ring2.one), *seeds]
     i = 0
     while True:
         for x, y in new:
@@ -389,51 +355,47 @@ def _graph(
 
 
 def _is_isomorphism(ring1: FiniteRing, ring2: FiniteRing, mapping: dict[int, int]) -> bool:
-    """True when mapping is a ring isomorphism ring1 -> ring2: the closure
-    from its images of the generators of ring1 is mapping itself."""
-    if ring1.order != ring2.order or not all(0 <= v < ring2.order for v in mapping.values()):
+    """True when mapping is a ring isomorphism ring1 -> ring2: a total map,
+    keys and values in range, whose own pairs close to mapping itself."""
+    codes = set(range(ring1.order))
+    if ring2.order != ring1.order or mapping.keys() != codes or not codes.issuperset(mapping.values()):
         return False
-    gens = _generators(ring1)
-    if any(g not in mapping for g in gens):
-        return False
-    return _graph(ring1, ring2, gens, tuple(mapping[g] for g in gens)) == mapping
-
-
-def _candidate_images(ring1: FiniteRing, ring2: FiniteRing, g: int) -> list[int]:
-    o = ring1.additive_order(g)
-    idem = ring1.mul(g, g) == g
-    out = []
-    for h in ring2.elements():
-        if ring2.additive_order(h) != o:
-            continue
-        if (ring2.mul(h, h) == h) != idem:
-            continue
-        out.append(h)
-    return out
+    return _graph(ring1, ring2, list(mapping.items())) == mapping
 
 
 def find_ring_isomorphism(ring1: FiniteRing, ring2: FiniteRing) -> dict[int, int] | None:
     """Explicit isomorphism (code map) between two finite commutative rings, or None.
 
-    Tries images for a greedy generating set of ring1, in the lexicographic
-    order of the candidate lists, and returns the first graph closure that
-    is a bijection (see _graph).  Raises RingCapExceededError, before any
-    work, when either order exceeds DEFAULT_RING_ORDER_CAP.
+    A depth-first search that closes the (generator, image) pairs chosen so
+    far (see _graph).  A closure that covers ring1 is returned; otherwise the
+    least code it has not reached is the next generator, and the unreached
+    codes of ring2 with its additive order and idempotency are tried as its
+    image in ascending order.  Raises RingCapExceededError, before any work,
+    when either order exceeds DEFAULT_RING_ORDER_CAP.
     """
     if ring1.order > DEFAULT_RING_ORDER_CAP or ring2.order > DEFAULT_RING_ORDER_CAP:
         raise RingCapExceededError(f"ring order exceeds the cap {DEFAULT_RING_ORDER_CAP}")
-    if ring1.order != ring2.order:
+    if ring1.order != ring2.order or ring1.characteristic() != ring2.characteristic():
         return None
-    if ring1.characteristic() != ring2.characteristic():
+
+    @cache
+    def kind(ring: FiniteRing, a: int) -> tuple[int, bool]:
+        return ring.additive_order(a), ring.mul(a, a) == a
+
+    def search(seeds: list[tuple[int, int]]) -> dict[int, int] | None:
+        graph = _graph(ring1, ring2, seeds)
+        if graph is None or len(graph) == ring1.order:
+            return graph
+        g = next(a for a in ring1.elements() if a not in graph)
+        reached = set(graph.values())
+        for h in ring2.elements():
+            if h not in reached and kind(ring2, h) == kind(ring1, g):
+                found = search([*seeds, (g, h)])
+                if found is not None:
+                    return found
         return None
-    gens = _generators(ring1)
-    candidates = [_candidate_images(ring1, ring2, g) for g in gens]
-    for images in itertools.product(*candidates):
-        if len(set(images)) == len(images):
-            graph = _graph(ring1, ring2, gens, images)
-            if graph is not None:
-                return graph
-    return None
+
+    return search([])
 
 
 def finite_ring_isomorphic(ring1: FiniteRing, ring2: FiniteRing) -> bool:

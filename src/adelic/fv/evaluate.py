@@ -359,8 +359,8 @@ def preservation_check(
     """Evaluate closed generalized sentences over two families with isomorphic stalks.
 
     The stalk-wise isomorphisms are taken from witnesses or searched for
-    (stalk order capped at 64); a witness is accepted when the graph closure
-    from its images of the generators is the witness itself.  Sentences
+    (stalk order capped at 64); a witness is accepted when it is a total map
+    whose own pairs close to the witness itself.  Sentences
     must be closed (no theta has a free w-variable).  When the precondition
     fails the report says which indices broke it; otherwise it lists
     per-sentence values over both families.

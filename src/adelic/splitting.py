@@ -31,7 +31,11 @@ from .exactpoly import (
     _distinct_degree_parts,
     _divmod_monic,
     _factor_modp,
+    _gcd_modp,
+    _is_squarefree_modp,
+    _monic_modp,
     _mul,
+    _neg,
     _powmod,
     _squarefree_parts,
     _sub,
@@ -280,100 +284,83 @@ def newton_polygon(f: IntPoly, p: int) -> list[Segment]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_q = F_p[x]/(phi), used for residual polynomials.  An
-# element of F_q is a coefficient list reduced modulo the monic phi, with []
-# as zero; a polynomial over F_q is a list of such elements, constant term
-# first, with no trailing zeros.
+# Residual polynomials over F_q = F_p[x]/(phi), q = p^deg(phi).  They run on
+# exactpoly's coefficient-list helpers with modulus q, their entries elements
+# of _Fq or int 0 (never a nonzero int, which _monic_modp would invert mod q).
 
 
-def _fq_mul(a: list[int], b: list[int], phi: list[int], p: int) -> list[int]:
-    return _divmod_monic(_mul(a, b, p), phi, p)[1]
+class _Fq:
+    """An element of F_q = F_p[x]/(phi), phi monic irreducible mod p: its
+    coefficient list reduced mod (phi, p).  An int operand means its residue
+    mod p, x % q is x and pow(x, q - 2, q) inverts x, so exactpoly's list
+    helpers, given the modulus q, run over F_q."""
+
+    __slots__ = ("c", "phi", "p")
+
+    def __init__(self, c: list[int], phi: list[int], p: int):
+        self.c, self.phi, self.p = c, phi, p
+
+    def _coeffs(self, other: "_Fq | int") -> list[int]:
+        return other.c if isinstance(other, _Fq) else _trim([other % self.p])
+
+    def __add__(self, other):
+        return _Fq(_add(self.c, self._coeffs(other), self.p), self.phi, self.p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Fq(_neg(self.c, self.p), self.phi, self.p)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        product = _mul(self.c, self._coeffs(other), self.p)
+        return _Fq(_divmod_monic(product, self.phi, self.p)[1], self.phi, self.p)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, q: int) -> "_Fq":
+        return self
+
+    def __pow__(self, exp: int, q: int | None = None) -> "_Fq":
+        return _Fq(_powmod(self.c, exp, self.phi, self.p), self.phi, self.p)
+
+    def __eq__(self, other) -> bool:
+        return self.c == self._coeffs(other)
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
 
 
-def _fqp_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fqp_monic(a: list, phi: list[int], p: int) -> list:
-    inv_lc = _powmod(a[-1], p ** (len(phi) - 1) - 2, phi, p)
-    return [_fq_mul(c, inv_lc, phi, p) for c in a]
-
-
-def _fqp_sub(a: list, b: list, p: int) -> list:
-    out = a + [[]] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = _sub(out[i], y, p)
-    return _fqp_trim(out)
-
-
-def _fqp_mul(a: list, b: list, phi: list[int], p: int) -> list:
-    if not a or not b:
-        return []
-    out = [[]] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = _add(out[i + j], _mul(x, y, p), p)
-    return _fqp_trim([_divmod_monic(c, phi, p)[1] for c in out])
-
-
-def _fqp_divmod(a: list, b: list, phi: list[int], p: int) -> tuple[list, list]:
-    """Quotient and remainder by a monic divisor b over F_q."""
-    r = list(a)
-    db = len(b) - 1
-    q = [[]] * max(len(a) - db, 0)
-    while len(r) > db:
-        c = r[-1]
-        k = len(r) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            r[k + j] = _sub(r[k + j], _fq_mul(c, b[j], phi, p), p)
-        _fqp_trim(r)
-    return _fqp_trim(q), r
-
-
-def _fqp_gcd(a: list, b: list, phi: list[int], p: int) -> list:
-    """A gcd of a and b over F_q; monic whenever b is nonzero."""
-    while b:
-        b = _fqp_monic(b, phi, p)
-        a, b = b, _fqp_divmod(a, b, phi, p)[1]
-    return a
-
-
-def _fqp_powmod(base: list, exp: int, mod: list, phi: list[int], p: int) -> list:
-    result = [[1]]
-    base = _fqp_divmod(base, mod, phi, p)[1]
-    while exp:
-        if exp & 1:
-            result = _fqp_divmod(_fqp_mul(result, base, phi, p), mod, phi, p)[1]
-        base = _fqp_divmod(_fqp_mul(base, base, phi, p), mod, phi, p)[1]
-        exp >>= 1
+def _qth_power_mod(h: list, v: list, q: int) -> list:
+    """h^q modulo the monic v over F_q, h reduced mod v, by square-and-multiply."""
+    result = [v[-1]]  # 1 in F_q
+    for bit in bin(q)[2:]:
+        result = _divmod_monic(_mul(result, result, q), v, q)[1]
+        if bit == "1":
+            result = _divmod_monic(_mul(result, h, q), v, q)[1]
     return result
 
 
-def _fqp_is_separable(a: list, phi: list[int], p: int) -> bool:
-    deriv = _fqp_trim([_trim([i * c % p for c in x]) for i, x in enumerate(a[1:], 1)])
-    return len(_fqp_gcd(a, deriv, phi, p)) == 1
-
-
-def _fqp_ddf(a: list, phi: list[int], p: int) -> dict[int, int]:
-    """Degrees of the irreducible factors of a separable polynomial over F_q."""
-    q = p ** (len(phi) - 1)
+def _fq_degree_counts(v: list, q: int) -> dict[int, int]:
+    """Degree -> number of irreducible factors of the squarefree v over F_q:
+    the distinct-degree loop, gcd(y^(q^d) - y, v) for d = 1, 2, ..."""
     counts: dict[int, int] = {}
-    v = _fqp_monic(a, phi, p)
-    y = [[], [1]]
-    h = y
+    v = _monic_modp(v, q)
+    h = y = [0, v[-1]]
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _fqp_powmod(h, q, v, phi, p)
-        g = _fqp_gcd(_fqp_sub(h, y, p), v, phi, p)
+        h = _qth_power_mod(h, v, q)
+        g = _gcd_modp(_sub(h, y, q), v, q)
         if len(g) > 1:
             counts[d] = (len(g) - 1) // d
-            v = _fqp_divmod(v, g, phi, p)[0]
-            h = _fqp_divmod(h, v, phi, p)[1]
+            v = _divmod_monic(v, g, q)[0]
+            h = _divmod_monic(h, v, q)[1]
     if len(v) > 1:
         deg = len(v) - 1
         counts[deg] = counts.get(deg, 0) + 1
@@ -409,17 +396,18 @@ def _residual_factor_degrees(
     Each a_j has degree below deg phi, so a_j / p^v reduced mod p is already
     an element of F_q.
     """
+    q = p ** (len(phi) - 1)
     for x, y, side in _sides(vals):
         h, e = side.slope.numerator, side.slope.denominator
         residual = [
-            _trim([c // p ** (y - j * h) % p for c in a_list[x + j * e].coeffs])
+            _Fq(_trim([c // p ** (y - j * h) % p for c in a_list[x + j * e].coeffs]), phi, p)
             if vals[x + j * e] == y - j * h
-            else []
+            else 0
             for j in range(side.length // e + 1)
         ]
-        if not _fqp_is_separable(residual, phi, p):
+        if not _is_squarefree_modp(residual, q):
             return f"inseparable residual polynomial on the slope {h}/{e} side"
-        for rd, count in _fqp_ddf(residual, phi, p).items():
+        for rd, count in _fq_degree_counts(residual, q).items():
             pairs.extend([(e, rd * (len(phi) - 1))] * count)
     return None
 

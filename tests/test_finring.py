@@ -13,9 +13,6 @@ from adelic.finring import (
     PermutedRing,
     RingCapExceededError,
     ZmodRing,
-    _candidate_images,
-    _generators,
-    _graph,
     _is_isomorphism,
     find_ring_isomorphism,
     finite_ring_isomorphic,
@@ -75,6 +72,26 @@ def test_unramified_quotient_order_and_characteristic():
         assert ring.order == p ** (f * s)
         assert ring.characteristic() == p**s
         enumerate_ring(ring)
+
+
+def test_characteristic_is_read_not_counted(monkeypatch):
+    """characteristic() is the additive order of 1 in every ring, and reading
+    it makes no add: the order-999983^2 residue ring is built at once."""
+    from adelic.invariants import residue_ring_construct
+
+    for ring in oracle_rings():
+        assert ring.characteristic() == ring.additive_order(ring.one), ring
+    adds = []
+    add = LocalQuotientRing.add
+
+    def counting_add(self, a, b):
+        adds.append((a, b))
+        return add(self, a, b)
+
+    monkeypatch.setattr(LocalQuotientRing, "add", counting_add)
+    r = residue_ring_construct(999983, 2, 1, P("x^2 - 999983"), 2)
+    assert r.order == 999983**2 and r.characteristic == 999983
+    assert adds == []
 
 
 def test_eisenstein_quotient_order_and_characteristic():
@@ -654,8 +671,8 @@ def test_no_digit_list_is_left_in_the_additive_operations(monkeypatch):
 # Search oracle: the isomorphism search as it was before the graph closure.
 # It closes ring1 under add/mul while recording one derivation per element,
 # replays the derivations for each assignment of generator images, and then
-# checks the full addition and multiplication tables.  Candidate images come
-# from the library's _candidate_images, which the two searches share.
+# checks the full addition and multiplication tables.  Candidate images are
+# the codes of ring2 with the generator's additive order and idempotency.
 
 
 def reference_closure(ring, gens):
@@ -693,6 +710,11 @@ def reference_generating_set(ring):
     return gens
 
 
+def reference_candidate_images(ring1, ring2, g):
+    kind = ring1.additive_order(g), ring1.mul(g, g) == g
+    return [h for h in ring2.elements() if (ring2.additive_order(h), ring2.mul(h, h) == h) == kind]
+
+
 def reference_extend_and_verify(ring1, ring2, gens, gen_images, found, index, derivations):
     image = [0] * len(found)
     image[0] = ring2.zero
@@ -719,7 +741,7 @@ def reference_find_ring_isomorphism(ring1, ring2):
     gens = reference_generating_set(ring1)
     found, derivations = reference_closure(ring1, gens)
     index = {x: i for i, x in enumerate(found)}
-    candidates = [_candidate_images(ring1, ring2, g) for g in gens]
+    candidates = [reference_candidate_images(ring1, ring2, g) for g in gens]
 
     def assign(idx, images):
         if idx == len(gens):
@@ -793,7 +815,7 @@ def test_find_ring_isomorphism_matches_reference_search():
 
 
 def reference_is_isomorphism(r1, r2, mapping):
-    if len(mapping) != r1.order or len(set(mapping.values())) != r1.order:
+    if set(mapping) != set(r1.elements()) or len(set(mapping.values())) != r1.order:
         return False
     if mapping.get(r1.zero) != r2.zero or mapping.get(r1.one) != r2.one:
         return False
@@ -825,16 +847,22 @@ def reference_invariant_profile(ring):
 
 
 def automorphisms(ring):
-    gens = _generators(ring)
-    candidates = [_candidate_images(ring, ring, g) for g in gens]
-    graphs = (_graph(ring, ring, gens, images) for images in itertools.product(*candidates))
-    return [g for g in graphs if g is not None]
+    gens = reference_generating_set(ring)
+    found, derivations = reference_closure(ring, gens)
+    index = {x: i for i, x in enumerate(found)}
+    candidates = [reference_candidate_images(ring, ring, g) for g in gens]
+    maps = (
+        reference_extend_and_verify(ring, ring, gens, images, found, index, derivations)
+        for images in itertools.product(*candidates)
+    )
+    return [m for m in maps if m is not None]
 
 
 def witness_cases(rng, r1):
     """(r2, mapping) pairs: relabelings, automorphisms composed with a
-    relabeling, one-entry corruptions and swaps, maps of the wrong size and
-    random bijections onto rings of the same order."""
+    relabeling, one-entry corruptions and swaps, maps of the wrong size, a
+    map of the right size whose first key is not a code of r1, and random
+    bijections onto rings of the same order."""
     perm = list(range(r1.order))
     rng.shuffle(perm)
     r2 = PermutedRing(r1, perm)
@@ -847,6 +875,7 @@ def witness_cases(rng, r1):
     yield r2, {**relabel, a: relabel[b], b: relabel[a]}
     yield r2, {k: v for k, v in relabel.items() if k != a}
     yield r2, {**relabel, r1.order: 0}
+    yield r2, {r1.order: relabel[a], **{k: v for k, v in relabel.items() if k != a}}
     for other in (r1, r2):
         image = list(range(r1.order))
         rng.shuffle(image)

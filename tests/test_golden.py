@@ -12,7 +12,10 @@ ramified residue-ring certificates.  The Boolean-quantifier digest was
 recorded before the ring and Boolean evaluators became one walk.  The
 adele-iso branch digest was recorded, in text format, before the verdict
 pipeline became one pass over the local pairs; it pins the reason and the
-local entries of every verdict branch.
+local entries of every verdict branch.  The residual-polynomial digest
+was recorded, in text format, before the F_q residual polynomials moved
+onto exactpoly's coefficient-list helpers; it pins split and inseparable
+residuals over F_4, F_8, F_9, F_25, F_27 and F_125.
 """
 
 import contextlib
@@ -20,11 +23,12 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 
 from adelic.cli import main
 from adelic.corpus import CORPUS_SPECS
-from adelic.exactpoly import discriminant, parse_int_poly
+from adelic.exactpoly import IntPoly, discriminant, is_irreducible_modp, parse_int_poly
 from adelic.primes import primes_up_to
 
 # Three primes far beyond any sieve bound: about 10^6, 10^12 and 10^18.
@@ -66,6 +70,31 @@ def test_split_output_of_every_corpus_field_at_discriminant_primes():
     assert len(argvs) == 34
     assert _digest(argvs) == "bed228cb46df724d34160bf5a373db192a91fa64776b78adeeed938f8bcf8883"
 
+
+
+def _residual_fields(count: int):
+    """(f, p) with f = phi^k + p^m * g, the generator of the sympy sweep in
+    test_splitting.py: phi monic irreducible mod p of degree 2 or 3, g of
+    lower degree with a unit constant term, gcd(m, k) >= 2.  Nothing is
+    filtered, so fields where p divides gcd(m, k) give an inseparable
+    residual y^d + c and an Undetermined decomposition."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        p = rng.choice([2, 3, 5])
+        deg_phi, k = rng.choice([(2, 2), (2, 3), (3, 2)])
+        m = rng.choice([m for m in range(2, 9) if math.gcd(m, k) >= 2])
+        phi = IntPoly([rng.randrange(p) for _ in range(deg_phi)] + [1])
+        if not is_irreducible_modp(phi.reduce_mod(p)):
+            continue
+        g = IntPoly([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(deg_phi - 1)])
+        out.append(((phi**k + IntPoly((p**m,)) * g).to_text(), p))
+    return out
+
+
+def test_split_text_of_residual_polynomials_over_fq():
+    argvs = [["split", f, "--prime", str(p)] for f, p in _residual_fields(80)]
+    assert _digest(argvs) == "6ffad110cf4026598504bcb9a1e9271bc08677e3efdce42683f905c238598968"
 
 # Stalks of every LocalQuotientRing shape (GF with f <= 3, Unramified with
 # s >= 2, Eisenstein with f = 1 and f = 2) next to a Zmod stalk.

@@ -15,7 +15,6 @@ from adelic.exactpoly import (
     factor_modp,
     gcd_modp,
     parse_int_poly,
-    _add,
     _distinct_degree_parts,
     _gcd_modp,
     _mul,
@@ -475,57 +474,141 @@ def test_ore_residuals_over_fq_against_sympy_prime_decomp():
     assert any(f == deg_phi for deg_phi, pairs in compared for _, f in pairs)
 
 
+# F_4, F_8, F_9 and F_25 as (phi, p), phi monic irreducible mod p.
+FQ_FIELDS = [([1, 1, 1], 2), ([1, 1, 0, 1], 2), ([1, 0, 1], 3), ([3, 0, 1], 5)]
+
+
+def _fq_elements(phi: list[int], p: int) -> list:
+    return [
+        splitting._Fq(_trim(list(coeffs)), phi, p)
+        for coeffs in itertools.product(range(p), repeat=len(phi) - 1)
+    ]
+
+
+def _schoolbook_mod(a: list[int], b: list[int], phi: list[int], p: int) -> list[int]:
+    """a * b reduced mod (phi, p) by the schoolbook product and long division."""
+    n = len(phi) - 1
+    prod = [0] * (len(a) + len(b) + n)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, n - 1, -1):
+        c, prod[k] = prod[k], 0
+        for i in range(n):
+            prod[k - n + i] -= c * phi[i]
+    return _trim([c % p for c in prod[:n]])
+
+
+def test_fq_element_arithmetic_over_small_fields():
+    """_Fq against the schoolbook product on every pair; pow(a, q - 2, q)
+    inverts; an int operand is its residue mod p; % q is the identity."""
+    for phi, p in FQ_FIELDS:
+        q = p ** (len(phi) - 1)
+        elements = _fq_elements(phi, p)
+        assert len(elements) == q
+        one = splitting._Fq([1], phi, p)
+        for a in elements:
+            for b in elements:
+                assert (a * b).c == _schoolbook_mod(a.c, b.c, phi, p), (phi, p, a, b)
+                assert (a + b) - b == a and (a - b) + b == a
+            assert a % q is a
+            assert bool(a) == bool(a.c)
+            if a:
+                assert pow(a, q - 2, q) * a == one == 1
+            # int operands act as their residues mod p
+            for n in (-p - 1, -1, 0, 1, 2, p, p + 1, 3 * p + 2):
+                r = splitting._Fq(_trim([n % p]), phi, p)
+                assert a + n == n + a == a + r
+                assert a - n == a - r and n - a == r - a
+                assert a * n == n * a == a * r
+                assert (a == n) == (a == r)
+            assert -a + a == 0
+
+
+def _residual_of(coeffs: list[list[int]], phi: list[int], p: int):
+    """The reason and pairs of _residual_factor_degrees for the one-sided
+    polygon whose residual polynomial over F_q is sum coeffs[j] y^j: slope 1,
+    a_j = p^(n - j) * coeffs[j] for n = len(coeffs) - 1."""
+    n = len(coeffs) - 1
+    a_list = [IntPoly([c * p ** (n - j) for c in cs]) for j, cs in enumerate(coeffs)]
+    vals = [splitting._gauss_valuation(a, p) for a in a_list]
+    pairs = []
+    return splitting._residual_factor_degrees(a_list, vals, phi, p, pairs), pairs
+
+
+def test_inseparable_residuals_over_fq_are_undetermined():
+    """(y - a)^2 and y^p - c over F_q stop with the inseparable reason;
+    (y - a)(y - b) with a != b splits into two linear factors."""
+    for phi, p in FQ_FIELDS:
+        elements = _fq_elements(phi, p)
+        units = [a for a in elements if a]
+        for a in units:
+            square = [(a * a).c, (-2 * a).c, [1]]
+            reason, _ = _residual_of(square, phi, p)
+            assert reason == "inseparable residual polynomial on the slope 1/1 side", (phi, p, a)
+            reason, _ = _residual_of([(-a).c] + [[]] * (p - 1) + [[1]], phi, p)
+            assert reason == "inseparable residual polynomial on the slope 1/1 side", (phi, p, a)
+        a, b = units[0], units[-1]
+        reason, pairs = _residual_of([(a * b).c, (-(a + b)).c, [1]], phi, p)
+        assert reason is None and pairs == [(1, len(phi) - 1)] * 2
+
+
 def _fq_has_root(a: list, phi: list[int], p: int) -> bool:
     """Whether the polynomial a over F_q = F_p[x]/(phi) vanishes at some element."""
-    for coeffs in itertools.product(range(p), repeat=len(phi) - 1):
-        t = _trim(list(coeffs))
-        value = []
+    for t in _fq_elements(phi, p):
+        value = 0
         for c in reversed(a):
-            value = _add(splitting._fq_mul(value, t, phi, p), c, p)
+            value = value * t + c
         if not value:
             return True
     return False
 
 
 def test_fq_ddf_counts_products_of_known_irreducibles():
-    """_fqp_ddf on products of distinct monic irreducibles of degree 1-3 over
-    F_4, F_8, F_9 and F_25; a monic of degree at most 3 is irreducible
-    exactly when it has no root, which is checked by trying every element."""
+    """_fq_degree_counts on products of distinct monic irreducibles of degree
+    1-3 over F_4, F_8, F_9 and F_25; a monic of degree at most 3 is
+    irreducible exactly when it has no root, which is checked by trying
+    every element."""
     rng = random.Random(20261019)
-    fields = [([1, 1, 1], 2), ([1, 1, 0, 1], 2), ([1, 0, 1], 3), ([3, 0, 1], 5)]
-    for phi, p in fields:
+    for phi, p in FQ_FIELDS:
+        q = p ** (len(phi) - 1)
+        one = splitting._Fq([1], phi, p)
         for _ in range(25):
             factors = []
             for d in rng.choices([1, 2, 3], k=rng.randint(1, 3)):
                 while True:
-                    g = [_trim([rng.randrange(p) for _ in phi[1:]]) for _ in range(d)] + [[1]]
+                    g = [
+                        splitting._Fq(_trim([rng.randrange(p) for _ in phi[1:]]), phi, p)
+                        for _ in range(d)
+                    ] + [one]
                     if (d == 1 or not _fq_has_root(g, phi, p)) and g not in factors:
                         break
                 factors.append(g)
-            product = [[1]]
+            product = [one]
             for g in factors:
-                product = splitting._fqp_mul(product, g, phi, p)
+                product = _mul(product, g, q)
             want = Counter(len(g) - 1 for g in factors)
-            assert splitting._fqp_ddf(product, phi, p) == want, (phi, p, factors)
+            assert splitting._fq_degree_counts(product, q) == want, (phi, p, factors)
 
 
 def test_linear_residual_over_fq_takes_no_frobenius_power(monkeypatch):
     """A residual of degree 1 is irreducible as it stands, so the F_q
     distinct-degree stage computes no power y^q mod v for it."""
-    powmods = []
-    powmod = splitting._fqp_powmod
+    powers = []
+    qth_power_mod = splitting._qth_power_mod
 
-    def counting_powmod(*args):
-        powmods.append(args)
-        return powmod(*args)
+    def counting_qth_power_mod(*args):
+        powers.append(args)
+        return qth_power_mod(*args)
 
-    monkeypatch.setattr(splitting, "_fqp_powmod", counting_powmod)
-    assert splitting._fqp_ddf([[1], [1]], [1, 1, 1], 2) == {1: 1}
+    monkeypatch.setattr(splitting, "_qth_power_mod", counting_qth_power_mod)
+    one = splitting._Fq([1], [1, 1, 1], 2)
+    assert splitting._fq_degree_counts([one, one], 4) == {1: 1}
     # two sides of length 1 over F_4, each a linear residual
     phi = P("x^2 + x + 1")
     f = phi * phi + IntPoly((2,)) * phi + IntPoly((0, 2**224))
     assert decompose(NumberField(f), 2).factors == ((1, 2), (1, 2))
-    assert powmods == []
+    assert powers == []
 
 
 def test_decompose_dispatcher():
