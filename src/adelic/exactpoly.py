@@ -12,6 +12,7 @@ point is used anywhere in this module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -246,12 +247,16 @@ class _Packed:
         return out
 
     def pow(self, a: int, exp: int) -> int:
-        result = self.pack([1])
-        while exp > 0:
-            if exp & 1:
+        """a^exp for a packed element a with every basis slot reduced mod m,
+        by left-to-right square-and-multiply: no product with 1 and no
+        square after the top bit."""
+        if not exp:
+            return self.pack([1])
+        result = a
+        for bit in bin(exp)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, a)
-            a = self.mul(a, a)
-            exp >>= 1
         return result
 
 
@@ -721,6 +726,53 @@ def _distinct_degree_parts(v: list[int], p: int):
             v = _divmod_monic(v, g, p)[0]
     if len(v) > 1:
         yield len(v) - 1, v
+
+
+def _factor_degrees(v: list[int], p: int, disc: int) -> list[int]:
+    """Ascending degrees of the irreducible factors of v over Z/p, counted
+    without a gcd: v is monic and squarefree of degree n < p, and disc is
+    disc(v) mod p, nonzero.
+
+    The number of factors is congruent to n mod 2 exactly when disc is a
+    square mod p (Stickelberger; Swan, Pacific J. Math. 12 (1962)).  With Q
+    the matrix of h -> h^p on F_p[x]/(v), Tr(Q^d) is the sum of f*c_f over
+    the f dividing d, c_f the number of factors of degree f, because
+    Frobenius permutes a normal basis of F_(p^f) cyclically; that sum is at
+    most n < p, so Tr(Q^d) mod p is the sum itself and gives c_d.  Once
+    c_1 .. c_d are known, the factors left, all of degree above d, are
+    decided by their parity when an odd number of them has degrees summing
+    below 3(d+1) (one factor) or an even number at most 2d+3 (two factors,
+    the smaller of degree d+1).  Tr(Q^(a+b)) is the sum of (Q^a)_ij (Q^b)_ji,
+    so Q^a is formed only for a <= ceil(d/2), and the rows of Q are built
+    only if some c_d is needed: at n = 2 the answer is one Legendre symbol.
+    """
+    n = len(v) - 1
+    odd = (n + (pow(disc, (p - 1) // 2, p) != 1)) % 2  # parity of the number of factors
+    degrees, counts, rest, d = [], [0], n, 0
+    while rest:
+        if odd and rest < 3 * (d + 1):
+            return degrees + [rest]
+        if not odd and rest <= 2 * d + 3:
+            return degrees + [d + 1, rest - d - 1]
+        d += 1
+        if d == 1:  # the packed rows of Q; Tr(Q) needs only their diagonal
+            k = _Packed(v, p)
+            rows = _frobenius_rows(k)
+            powers = []  # Q, Q^2, ..., each as n rows of n residues, formed as needed
+            trace = sum(r >> s & k.mask for r, s in zip(rows, k.shifts)) % p
+        else:
+            a, b = d - d // 2, d // 2
+            if a > len(powers):  # Q from its packed rows; Q^a = Q^(a-1) Q by Frobenius steps
+                packed = [sum(c * row for c, row in zip(r, rows)) for r in powers[-1]] if powers else rows
+                powers.append([[(r >> s & k.mask) % p for s in k.shifts] for r in packed])
+            cols = zip(*powers[b - 1])
+            trace = sum(sum(map(operator.mul, r, col)) for r, col in zip(powers[a - 1], cols)) % p
+        c = (trace - sum(f * counts[f] for f in range(1, d) if d % f == 0)) // d
+        counts.append(c)
+        degrees += [d] * c
+        rest -= c * d
+        odd ^= c & 1
+    return degrees
 
 
 def ddf(a: ModPoly) -> dict[int, int]:

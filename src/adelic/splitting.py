@@ -5,13 +5,14 @@ p*O_K = P_1^e_1 ... P_g^e_g is reported as the list of pairs
 (e_i, f_i) = (ramification index, residue degree).  Every prime takes one
 route.  Each part of multiplicity one of f mod p gives an unramified pair per
 irreducible factor, counted by the distinct-degree stage; at a prime not
-dividing the discriminant of f, f mod p is that one part.  Each irreducible
-phi of a repeated part gives a phi-adic Newton polygon with exact valuations.
-When every such polygon has height one, p does not divide the index
-[O_K : Z[alpha]] and the answer is Kummer's: (multiplicity, deg phi) for each
-phi.  Otherwise each side is analysed through its residual polynomial; if some
-residual polynomial is inseparable the result is reported as Undetermined
-rather than guessed.
+dividing the discriminant of f, f mod p is that one part, and above deg f its
+factor degrees come from Frobenius traces and Stickelberger's parity instead.
+Each irreducible phi of a repeated part gives a phi-adic Newton polygon with
+exact valuations.  When every such polygon has height one, p does not divide
+the index [O_K : Z[alpha]] and the answer is Kummer's: (multiplicity, deg phi)
+for each phi.  Otherwise each side is analysed through its residual
+polynomial; if some residual polynomial is inseparable the result is reported
+as Undetermined rather than guessed.
 
 Everything here is a pure function over immutable values, so concurrent
 sweeps are safe.
@@ -30,6 +31,7 @@ from .exactpoly import (
     _add,
     _distinct_degree_parts,
     _divmod_monic,
+    _factor_degrees,
     _factor_modp,
     _gcd_modp,
     _is_squarefree_modp,
@@ -415,16 +417,23 @@ def _residual_factor_degrees(
 def _decompose(K: NumberField, p: int) -> PrimeDecomposition:
     """Decomposition of the prime p in K by the one route of this module.
 
-    A good prime has no repeated part, so the distinct-degree counts are its
-    whole answer.  Only a bad prime splits f mod p into squarefree parts, and
-    only their repeated parts into irreducibles phi, by factor_modp's loop and
-    in its (degree, coefficients, multiplicity) order, so that an Undetermined
-    reason is that of the least phi that stops.  A phi of multiplicity k whose
+    A good prime has no repeated part, so the degrees of the irreducible
+    factors of f mod p are its whole answer.  Above deg f they are counted
+    from Frobenius traces and the parity of disc(f) mod p, with no gcd
+    (exactpoly._factor_degrees); at p <= deg f a trace is known only mod p,
+    so the distinct-degree stage counts them.  Only a bad prime splits f mod
+    p into squarefree parts, and only their repeated parts into
+    irreducibles phi, by factor_modp's loop and in its (degree,
+    coefficients, multiplicity) order, so that an Undetermined reason is
+    that of the least phi that stops.  A phi of multiplicity k whose
     polygon has height one, v_p(a_0) = 1, has one side of slope 1/k and a
     linear residual polynomial, so it gives (k, deg phi).
     """
     f_bar = [c % p for c in K.min_poly.coeffs]  # monic, so nothing to trim
     good = K.poly_disc % p != 0
+    if good and p > K.degree:
+        pairs = [(1, d) for d in _factor_degrees(f_bar, p, K.poly_disc % p)]
+        return _resolved(p, pairs, METHOD_KUMMER, K.degree)
     parts = [(f_bar, 1)] if good else _squarefree_parts(f_bar, p)
     pairs = [
         (1, d)

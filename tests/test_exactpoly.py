@@ -624,6 +624,66 @@ def test_distinct_degree_parts_match_per_degree_powmod():
             assert list(_distinct_degree_parts(coeffs, p)) == list(_per_degree_powmod_parts(coeffs, p))
 
 
+def _random_product_of_small_factors(rng, p, degree):
+    """A monic squarefree polynomial over Z/p of the given degree that is a
+    product of random monic factors of degree 1 to 3, so that it has many
+    irreducible factors of small degree."""
+    while True:
+        v = [1]
+        while len(v) - 1 < degree:
+            d = rng.randint(1, min(3, degree - len(v) + 1))
+            v = _mul(v, [rng.randrange(p) for _ in range(d)] + [1], p)
+        f = ModPoly(p, v)
+        if gcd_modp(f, f.derivative()).degree == 0:
+            return f
+
+
+def test_factor_degrees_against_distinct_degree_parts_and_sympy():
+    """Degrees from Frobenius traces and Stickelberger's parity equal those
+    of the distinct-degree stage and of sympy's factor_list, at the least
+    prime above deg v, at primes below 1000 and near 10**6 and 10**12; and
+    the number of factors is congruent to deg v mod 2 exactly when sympy's
+    discriminant is a square mod p."""
+    from adelic.exactpoly import _distinct_degree_parts, _factor_degrees
+
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(61)
+    for degree in range(1, 17):
+        least = next(q for q in range(degree + 1, 2 * degree + 3) if is_prime(q))
+        small = rng.sample([q for q in primes_up_to(1000) if q > degree], 2)
+        for p in (least, *small, 10**6 + 3, 10**12 + 39):
+            for f in (_random_squarefree(rng, p, degree), _random_product_of_small_factors(rng, p, degree)):
+                v = list(f.coeffs)
+                expr = sum(c * x**i for i, c in enumerate(v))
+                disc = int(sympy.discriminant(expr, x)) % p
+                got = _factor_degrees(v, p, disc)
+                parts = _distinct_degree_parts(v, p)
+                assert got == [d for d, g in parts for _ in range((len(g) - 1) // d)], (p, v)
+                factors = sympy.Poly(expr, x, modulus=p).factor_list()[1]
+                assert got == sorted(sympy.Poly(g, x).degree() for g, _ in factors), (p, v)
+                square = pow(disc, (p - 1) // 2, p) == 1
+                assert (len(got) % 2 == degree % 2) == square, (p, v, disc)
+
+
+def test_packed_pow_matches_repeated_mul():
+    """Left-to-right square-and-multiply against a running product of muls,
+    on F_p[x]/(f) kernels and on the E != x kernel of a ramified ring."""
+    from adelic.exactpoly import _Packed
+    from adelic.finring import LocalQuotientRing
+
+    rng = random.Random(67)
+    kernels = [_Packed([3, 2, 5, 6, 1, 1], 7), _Packed([1, 1, 1], 2), _Packed([1, 4, 1], 10**12 + 39)]
+    kernels.append(LocalQuotientRing(3, 2, 2, P("x^2 - 3"), 3)._kernel[0])
+    for k in kernels:
+        a = k.pack([rng.randrange(k.m) for _ in range(k.n)])
+        want = one = k.pack([1])
+        for exp in range(71):
+            assert k.pow(a, exp) == want, (k.m, exp)
+            want = k.mul(want, a)
+        assert k.pow(one, 70) == one
+
+
 def test_cz_examples():
     fs = cz_factor(ModPoly(7, (-2, 0, 1)), seed=1)
     assert [g.lift().to_text() for g in fs] == ["x + 3", "x + 4"]  # x-3 = x+4, x-4 = x+3

@@ -591,17 +591,22 @@ def test_fq_ddf_counts_products_of_known_irreducibles():
             assert splitting._fq_degree_counts(product, q) == want, (phi, p, factors)
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to calls."""
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_linear_residual_over_fq_takes_no_frobenius_power(monkeypatch):
     """A residual of degree 1 is irreducible as it stands, so the F_q
     distinct-degree stage computes no power y^q mod v for it."""
     powers = []
-    qth_power_mod = splitting._qth_power_mod
-
-    def counting_qth_power_mod(*args):
-        powers.append(args)
-        return qth_power_mod(*args)
-
-    monkeypatch.setattr(splitting, "_qth_power_mod", counting_qth_power_mod)
+    _count_calls(monkeypatch, splitting, "_qth_power_mod", powers)
     one = splitting._Fq([1], [1, 1, 1], 2)
     assert splitting._fq_degree_counts([one, one], 4) == {1: 1}
     # two sides of length 1 over F_4, each a linear residual
@@ -609,6 +614,46 @@ def test_linear_residual_over_fq_takes_no_frobenius_power(monkeypatch):
     f = phi * phi + IntPoly((2,)) * phi + IntPoly((0, 2**224))
     assert decompose(NumberField(f), 2).factors == ((1, 2), (1, 2))
     assert powers == []
+
+
+def test_good_primes_above_the_degree_take_no_gcd(monkeypatch):
+    """Above deg f a good prime's degrees come from Frobenius traces and
+    Stickelberger's parity: _decompose makes no gcd there, and at degree 2
+    it builds no packed kernel."""
+    from adelic import exactpoly
+
+    cases = [(K, p) for K in corpus_fields() for p in primes_up_to(200) if p > K.degree and K.poly_disc % p]
+    want = [_oracle_kummer(K, p) for K, p in cases]
+    gcds, kernels, built = [], [], set()
+    for module in (exactpoly, splitting):
+        _count_calls(monkeypatch, module, "_gcd_modp", gcds)
+    _count_calls(monkeypatch, exactpoly, "_Packed", kernels)
+    got = []
+    for K, p in cases:
+        kernels.clear()
+        got.append(splitting._decompose(K, p))
+        if kernels:
+            built.add(K.degree)
+    assert got == want
+    assert gcds == []
+    assert 2 not in built and built >= set(range(3, 9))
+
+
+def test_good_primes_at_most_the_degree_keep_the_gcd_route(monkeypatch):
+    """At a good p <= deg f a trace is known only mod p, so the
+    distinct-degree stage, gcd and all, still counts the degrees, and agrees
+    with the oracle: x^8 - 2 at p = 3, 5 and 7, where disc = -2^31."""
+    from adelic import exactpoly
+
+    K = corpus_field("Q(eighthroot2)")
+    assert K.poly_disc == -(2**31)
+    want = {p: _oracle_kummer(K, p) for p in (3, 5, 7)}
+    gcds = []
+    _count_calls(monkeypatch, exactpoly, "_gcd_modp", gcds)
+    for p, dec in want.items():
+        gcds.clear()
+        assert splitting._decompose(K, p) == dec
+        assert gcds, p
 
 
 def test_decompose_dispatcher():
