@@ -168,6 +168,20 @@ def _monomial_rows(f: list[int], count: int, m: int) -> list[list[int]]:
     return rows
 
 
+def _power(a, exp: int, mul, one):
+    """a^exp for exp >= 0 under the product mul with identity one, by
+    left-to-right square-and-multiply: no product with one and no square
+    after the lowest bit."""
+    if not exp:
+        return one
+    result = a
+    for bit in bin(exp)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
+
+
 class _Packed:
     """Products in (Z/m)[y]/(g)[x]/(E) on packed integers, g monic of degree
     f >= 1 and E monic of degree e >= 1 over Z/m.  E = x, the default, gives
@@ -247,23 +261,17 @@ class _Packed:
         return out
 
     def pow(self, a: int, exp: int) -> int:
-        """a^exp for a packed element a with every basis slot reduced mod m,
-        by left-to-right square-and-multiply: no product with 1 and no
-        square after the top bit."""
-        if not exp:
-            return self.pack([1])
-        result = a
-        for bit in bin(exp)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+        """a^exp for a packed element a with every basis slot reduced mod m;
+        the packed 1 is the int 1, slot (0, 0) being at bit 0."""
+        return _power(a, exp, self.mul, 1)
 
 
-def _powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    """base**exp modulo the monic polynomial mod, coefficients mod the prime p."""
-    k = _Packed(mod, p)
-    return k.unpack(k.pow(k.pack([c % p for c in _divmod_monic(base, mod, p)[1]]), exp))
+def _powmod(base: list, exp: int, mod: list, m: int) -> list:
+    """base**exp modulo the monic polynomial mod, over Z/m for m prime or,
+    with entries of splitting's _Fq and m = q, over F_q.  base is reduced
+    mod (mod, m) first, and base**0 is [mod[-1]], the ring's one."""
+    base = _trim([c % m for c in _divmod_monic(base, mod, m)[1]])
+    return _power(base, exp, lambda a, b: _divmod_monic(_mul(a, b, m), mod, m)[1], [mod[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +349,7 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPoly.__mul__, IntPoly.one())
 
     def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient-remainder by a monic divisor: self = q*divisor + r, deg r < deg divisor."""
@@ -703,29 +704,35 @@ def _frobenius(h: list[int], rows: list[int], k: _Packed) -> list[int]:
     return k.unpack(sum(c * row for c, row in zip(h, rows)))
 
 
-def _distinct_degree_parts(v: list[int], p: int):
+def _distinct_degree_loop(v: list, m: int, frobenius):
     """Yield (d, product of the degree-d irreducible factors) for ascending d.
 
-    v is monic and squarefree over Z/p; degrees with no factor are skipped.
-    x^p mod v is computed once; every later power x^(p^d) comes from one
-    Frobenius step h -> h^p applied as a matrix.  h stays reduced modulo the
-    input v, so the matrix serves unchanged after factors are split off.
-    Once v has no factor of degree <= d and degree below 2(d+1), it is
+    v is monic and squarefree over F_m, its entries ints mod the prime m or,
+    with m = q, elements of splitting's _Fq; frobenius(h) is h^m modulo the
+    input v, so every x^(m^d) is one step from the last.  h stays reduced
+    modulo the input v, so the step serves unchanged after factors are split
+    off.  Once v has no factor of degree <= d and degree below 2(d+1), it is
     irreducible.
     """
-    k = _Packed(v, p)
-    rows = _frobenius_rows(k)
-    h = [0, 1]
+    x = h = [0, v[-1]]
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frobenius(h, rows, k)
-        g = _gcd_modp(_sub(h, [0, 1], p), v, p)
+        h = frobenius(h)
+        g = _gcd_modp(_sub(h, x, m), v, m)
         if len(g) > 1:
             yield d, g
-            v = _divmod_monic(v, g, p)[0]
+            v = _divmod_monic(v, g, m)[0]
     if len(v) > 1:
         yield len(v) - 1, v
+
+
+def _distinct_degree_parts(v: list[int], p: int):
+    """_distinct_degree_loop over F_p: x^p mod v is computed once, and each
+    Frobenius step h -> h^p is the matrix of _frobenius_rows applied to h."""
+    k = _Packed(v, p)
+    rows = _frobenius_rows(k)
+    return _distinct_degree_loop(v, p, lambda h: _frobenius(h, rows, k))
 
 
 def _factor_degrees(v: list[int], p: int, disc: int) -> list[int]:
@@ -875,17 +882,17 @@ def _factor_modp(parts: list[tuple[list[int], int]], p: int, seed: int) -> list[
     return out
 
 
-def factor_modp(a: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]]:
+def factor_modp(a: ModPoly) -> list[tuple[ModPoly, int]]:
     """Factor a monic polynomial over Z/p into (irreducible, multiplicity) pairs.
 
-    Composition of squarefree decomposition and equal-degree splitting; the
-    seed defaults to the fixed function of (p, coefficients).
+    Composition of squarefree decomposition and equal-degree splitting,
+    seeded by derive_seed(p, coefficients); the factorization is unique and
+    sorted, so no seed could change it.
     """
     p = a.modulus
     f = _monic_input(a, "factor_modp")
-    if seed is None:
-        seed = derive_seed(p, a.coeffs)
-    return [(ModPoly(p, c), m) for c, m in _factor_modp(_squarefree_parts(f, p), p, seed)]
+    parts = _squarefree_parts(f, p)
+    return [(ModPoly(p, c), m) for c, m in _factor_modp(parts, p, derive_seed(p, a.coeffs))]
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:

@@ -29,18 +29,17 @@ from .exactpoly import (
     discriminant,
     parse_int_poly,
     _add,
+    _distinct_degree_loop,
     _distinct_degree_parts,
     _divmod_monic,
     _factor_degrees,
     _factor_modp,
-    _gcd_modp,
     _is_squarefree_modp,
     _monic_modp,
     _mul,
     _neg,
     _powmod,
     _squarefree_parts,
-    _sub,
     _trim,
 )
 from .primes import is_prime, valuation
@@ -338,37 +337,6 @@ class _Fq:
         return bool(self.c)
 
 
-def _qth_power_mod(h: list, v: list, q: int) -> list:
-    """h^q modulo the monic v over F_q, h reduced mod v, by square-and-multiply."""
-    result = [v[-1]]  # 1 in F_q
-    for bit in bin(q)[2:]:
-        result = _divmod_monic(_mul(result, result, q), v, q)[1]
-        if bit == "1":
-            result = _divmod_monic(_mul(result, h, q), v, q)[1]
-    return result
-
-
-def _fq_degree_counts(v: list, q: int) -> dict[int, int]:
-    """Degree -> number of irreducible factors of the squarefree v over F_q:
-    the distinct-degree loop, gcd(y^(q^d) - y, v) for d = 1, 2, ..."""
-    counts: dict[int, int] = {}
-    v = _monic_modp(v, q)
-    h = y = [0, v[-1]]
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _qth_power_mod(h, v, q)
-        g = _gcd_modp(_sub(h, y, q), v, q)
-        if len(g) > 1:
-            counts[d] = (len(g) - 1) // d
-            v = _divmod_monic(v, g, q)[0]
-            h = _divmod_monic(h, v, q)[1]
-    if len(v) > 1:
-        deg = len(v) - 1
-        counts[deg] = counts.get(deg, 0) + 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # One route per prime: phi-adic Newton polygons, of height one in Kummer's case.
 
@@ -409,8 +377,9 @@ def _residual_factor_degrees(
         ]
         if not _is_squarefree_modp(residual, q):
             return f"inseparable residual polynomial on the slope {h}/{e} side"
-        for rd, count in _fq_degree_counts(residual, q).items():
-            pairs.extend([(e, rd * (len(phi) - 1))] * count)
+        v = _monic_modp(residual, q)
+        for rd, g in _distinct_degree_loop(v, q, lambda y: _powmod(y, q, v, q)):
+            pairs.extend([(e, rd * (len(phi) - 1))] * ((len(g) - 1) // rd))
     return None
 
 

@@ -4,6 +4,7 @@ benchmark run."""
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -131,3 +132,40 @@ def test_bench_checker_recognises_every_refutation(monkeypatch, f, g, bound):
     ref = {"kind": "distinct", "polys": [parse_int_poly(f).coeffs, parse_int_poly(g).coeffs],
            "bound": bound}
     assert check._check_adele(0, ref, data, Counter()) is None
+
+
+# sha256 of the exit code and stdout of every op of cycle 0 at seed 1, per
+# workload; see test_first_cycle_outputs_match_their_digests.
+FIRST_CYCLE_DIGESTS = {
+    "spectrum": "8782ab40b511079f1e6c78fcc86780f83ad7491636c70a2000b3400aa77328d6",
+    "split": "61399348e8ec41861d274e23afff38cf1fd74ec334c21795b57896c036e0d6ae",
+    "adele-iso": "678ae87cd40dfac6e597392f8303d5535bba042aab6717e8f66c086306374bed",
+    "fv-eval": "19652e40b0d4f70494c8c511c34dcc38194ef1e93df9c9ffea1b4b359793c892",
+}
+
+
+def test_first_cycle_outputs_match_their_digests(monkeypatch, tmp_path):
+    """The exit codes and stdout bytes of the first cycle of each benchmark
+    workload at seed 1 hash to the recorded digests, so a change of output
+    shows here and not only in a benchmark run.  A change that alters an
+    output, or the ops of a cycle, re-records FIRST_CYCLE_DIGESTS and says
+    why; fv-eval's family files go under tmp_path."""
+    from adelic.cli import main
+    from adelic.splitting import clear_decomposition_cache
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = load_bench("workloads")
+    got = {}
+    for name in workloads.WORKLOADS:
+        h = hashlib.sha256()
+        for op in workloads.cycle(name, 1, 0, str(tmp_path)):
+            clear_decomposition_cache()  # each op starts cold, as in the benchmark
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(op.argv)
+                except SystemExit as exc:
+                    code = exc.code
+            h.update(f"{code}\n{out.getvalue()}".encode())
+        got[name] = h.hexdigest()
+    assert got == FIRST_CYCLE_DIGESTS

@@ -49,7 +49,7 @@ def test_split_degree_one(capsys):
 
 
 def test_split_undetermined_exit_code(capsys):
-    code, out, _ = run(capsys, "split", "x^4-4*x^2+36", "--prime", "2")
+    code, out, _ = run(capsys, "split", "x^4+12", "--prime", "2")
     assert code == 3
 
 

@@ -684,6 +684,18 @@ def test_packed_pow_matches_repeated_mul():
         assert k.pow(one, 70) == one
 
 
+def test_intpoly_pow_matches_repeated_products():
+    rng = random.Random(71)
+    for f in (P("0"), P("1"), P("-1"), P("x"), P("2*x^3 - x + 5"),
+              IntPoly([rng.randint(-99, 99) for _ in range(6)])):
+        want = IntPoly.one()
+        for n in range(9):
+            assert f**n == want, (f, n)
+            want = want * f
+    with pytest.raises(ValueError):
+        P("x + 1") ** -1
+
+
 def test_cz_examples():
     fs = cz_factor(ModPoly(7, (-2, 0, 1)), seed=1)
     assert [g.lift().to_text() for g in fs] == ["x + 3", "x + 4"]  # x-3 = x+4, x-4 = x+3

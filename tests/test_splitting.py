@@ -15,9 +15,13 @@ from adelic.exactpoly import (
     factor_modp,
     gcd_modp,
     parse_int_poly,
+    _distinct_degree_loop,
     _distinct_degree_parts,
     _gcd_modp,
+    _is_squarefree_modp,
+    _monic_modp,
     _mul,
+    _powmod,
     _squarefree_parts,
     _trim,
 )
@@ -564,11 +568,20 @@ def _fq_has_root(a: list, phi: list[int], p: int) -> bool:
     return False
 
 
+def _fq_degree_counts(v: list, q: int) -> Counter:
+    """Degree -> number of irreducible factors of the squarefree v over F_q,
+    by exactpoly's distinct-degree loop with the F_q step of splitting:
+    h -> h^q mod v by _powmod with modulus q."""
+    v = _monic_modp(v, q)
+    parts = _distinct_degree_loop(v, q, lambda h: splitting._powmod(h, q, v, q))
+    return Counter({d: (len(g) - 1) // d for d, g in parts})
+
+
 def test_fq_ddf_counts_products_of_known_irreducibles():
-    """_fq_degree_counts on products of distinct monic irreducibles of degree
-    1-3 over F_4, F_8, F_9 and F_25; a monic of degree at most 3 is
-    irreducible exactly when it has no root, which is checked by trying
-    every element."""
+    """The distinct-degree loop with the F_q step on products of distinct
+    monic irreducibles of degree 1-3 over F_4, F_8, F_9 and F_25; a monic
+    of degree at most 3 is irreducible exactly when it has no root, which is
+    checked by trying every element."""
     rng = random.Random(20261019)
     for phi, p in FQ_FIELDS:
         q = p ** (len(phi) - 1)
@@ -588,7 +601,38 @@ def test_fq_ddf_counts_products_of_known_irreducibles():
             for g in factors:
                 product = _mul(product, g, q)
             want = Counter(len(g) - 1 for g in factors)
-            assert splitting._fq_degree_counts(product, q) == want, (phi, p, factors)
+            assert _fq_degree_counts(product, q) == want, (phi, p, factors)
+
+
+def _as_fq(v: list[int], phi: list[int], p: int) -> list:
+    """The ints mod p of v as elements of F_p[x]/(phi) for a linear phi, 0 as int 0."""
+    return [splitting._Fq([c], phi, p) if c else 0 for c in v]
+
+
+def _as_ints(v: list) -> list[int]:
+    return [c.c[0] if c else 0 for c in v]
+
+
+def test_fq_loop_and_powmod_at_q_equal_p_match_the_int_path():
+    """Over F_q = F_p[x]/(x - a), q = p, the distinct-degree loop on _Fq
+    entries with the list step gives the parts that _distinct_degree_parts
+    gives on plain ints, and _powmod over _Fq lists agrees with it over ints."""
+    rng = random.Random(20261020)
+    for p in (2, 3, 5, 7, 101, 10007):
+        phi = [-rng.randrange(p) % p, 1]
+        for _ in range(6):
+            while True:
+                v = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1]
+                if _is_squarefree_modp(v, p):
+                    break
+            vq = _as_fq(v, phi, p)
+            parts = _distinct_degree_loop(vq, p, lambda h: _powmod(h, p, vq, p))
+            assert [(d, _as_ints(g)) for d, g in parts] == list(_distinct_degree_parts(v, p)), (p, v)
+            base = [rng.randrange(p) for _ in range(rng.randint(0, 2 * len(v)))]
+            wide = [c + p * rng.randint(-2, 2) for c in base]  # an int base is reduced first
+            for exp in (0, 1, 2, p - 1, p, rng.randrange(p**3)):
+                got = _powmod(_as_fq(_trim(base), phi, p), exp, vq, p)
+                assert _as_ints(got) == _powmod(wide, exp, v, p), (p, v, base, exp)
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -606,14 +650,15 @@ def test_linear_residual_over_fq_takes_no_frobenius_power(monkeypatch):
     """A residual of degree 1 is irreducible as it stands, so the F_q
     distinct-degree stage computes no power y^q mod v for it."""
     powers = []
-    _count_calls(monkeypatch, splitting, "_qth_power_mod", powers)
+    _count_calls(monkeypatch, splitting, "_powmod", powers)
     one = splitting._Fq([1], [1, 1, 1], 2)
-    assert splitting._fq_degree_counts([one, one], 4) == {1: 1}
+    assert _fq_degree_counts([one, one], 4) == {1: 1}
     # two sides of length 1 over F_4, each a linear residual
     phi = P("x^2 + x + 1")
     f = phi * phi + IntPoly((2,)) * phi + IntPoly((0, 2**224))
     assert decompose(NumberField(f), 2).factors == ((1, 2), (1, 2))
-    assert powers == []
+    # a step y^q mod v has modulus q = 4; an inverse in F_4 has modulus p = 2
+    assert [args for args in powers if args[3] == 4] == []
 
 
 def test_good_primes_above_the_degree_take_no_gcd(monkeypatch):
@@ -625,8 +670,7 @@ def test_good_primes_above_the_degree_take_no_gcd(monkeypatch):
     cases = [(K, p) for K in corpus_fields() for p in primes_up_to(200) if p > K.degree and K.poly_disc % p]
     want = [_oracle_kummer(K, p) for K, p in cases]
     gcds, kernels, built = [], [], set()
-    for module in (exactpoly, splitting):
-        _count_calls(monkeypatch, module, "_gcd_modp", gcds)
+    _count_calls(monkeypatch, exactpoly, "_gcd_modp", gcds)
     _count_calls(monkeypatch, exactpoly, "_Packed", kernels)
     got = []
     for K, p in cases:
