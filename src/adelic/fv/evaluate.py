@@ -14,11 +14,12 @@ construction.
 A generalized sentence is a Boolean-side formula applied to index sets of the
 form [[theta]] = {i : stalk_i satisfies theta at the given global elements}.
 
-Both languages are evaluated by compiling a formula once into nested
-closures: dispatch on node kind and the keys of bound variables are settled
-at compile time, and a stalk's constants and bound add/sub/mul (or an index
-set's top element) when the closures are bound to it.  theta_set compiles
-theta and checks its depth once, then binds it to each stalk in turn.
+A ring formula is emitted once as one Python expression, with all(...) and
+any(...) over the stalk's elements E for its quantifiers, and compiled into
+a function that theta_set calls for each stalk with that stalk's add, sub,
+mul, zero, one and E and the codes of its free variables.  A Boolean-side
+formula is evaluated by a direct recursive walk: its quantifiers visit too
+few subsets to repay a compile().
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import itemgetter
 
 from ..finring import FiniteRing, _is_isomorphism, find_ring_isomorphism
 from .family import MAX_INDEX_SET, MAX_STALK_ORDER, FiniteFamily
@@ -98,66 +98,9 @@ class GeneralizedSentence:
         _environment(boole_free_vars(psi), self.thetas, "Boolean variable v")
 
 
-# ---------------------------------------------------------------------------
-# One compiler for the connectives and quantifiers of both languages.  A
-# compiled node is a function of a context (a stalk, or an index set) that
-# returns a predicate on env, which maps free-variable indices and bound keys
-# to values; the combinators below build those predicates.
-
-_CONNECTIVES = {
-    And: lambda left, right: lambda env: left(env) and right(env),
-    Or: lambda left, right: lambda env: left(env) or right(env),
-    Implies: lambda left, right: lambda env: not left(env) or right(env),
-}
-
-
-def _negation(holds):
-    return lambda env: not holds(env)
-
-
-def _constant(value):
-    return lambda env: value
-
-
-def _quantifier(key, want: bool, holds, values):
-    """Exists (want True) or forall (want False): key is bound to each of
-    values(env) in turn, and whatever it held before is restored."""
-
-    def quantified(env):
-        outer = env.get(key)  # a shadowed binding, or None for a fresh name
-        try:
-            for value in values(env):
-                env[key] = value
-                if holds(env) is want:
-                    return want
-            return not want
-        finally:
-            env[key] = outer
-
-    return quantified
-
-
-def _compile(node: Formula, atom, domain):
-    """node as a function of a context that returns its truth on env:
-    atom(node) compiles an atom the same way, and a quantifier ranges over
-    domain(context)(env)."""
-    kind = type(node)
-    if kind in _CONNECTIVES:
-        join = _CONNECTIVES[kind]
-        left, right = _compile(node.left, atom, domain), _compile(node.right, atom, domain)
-        return lambda context: join(left(context), right(context))
-    if kind is Not:
-        body = _compile(node.body, atom, domain)
-        return lambda context: _negation(body(context))
-    if kind is not Exists and kind is not Forall:
-        return atom(node)
-    key, want, body = _var_key(node.var), kind is Exists, _compile(node.body, atom, domain)
-    return lambda context: _quantifier(key, want, body(context), domain(context))
-
-
 def _environment(free, assignment, name: str) -> dict:
     """The values assignment (a sequence or a dict) gives the free variables
-    that occur; a missing one is an arity mismatch."""
+    that occur, in the order of free; a missing one is an arity mismatch."""
     env = {}
     for idx in free:
         try:
@@ -171,72 +114,74 @@ def _environment(free, assignment, name: str) -> dict:
 # Ring-formula satisfaction over one stalk.
 
 _RING_OPERATIONS = {RAdd: "add", RSub: "sub", RMul: "mul"}
+_CONNECTIVES = {And: "({} and {})", Or: "({} or {})", Implies: "(not {} or {})"}
 
 
-def _ring_term(term: RingTerm):
-    """term as a function of a stalk that returns its value on env."""
+def _term_source(term: RingTerm, scope: dict) -> str:
     kind = type(term)
-    if kind is RVar or kind is RBound:
-        get = itemgetter(term.index if kind is RVar else term.name)
-        return lambda ring: get
+    if kind is RVar:
+        return f"w{term.index}"
+    if kind is RBound:
+        return scope[term.name]
     if kind is RConst:
-        name = "one" if term.value == 1 else "zero"
-        return lambda ring: _constant(getattr(ring, name))
+        return "one" if term.value == 1 else "zero"
     name = _RING_OPERATIONS.get(kind)
     if name is None:
         raise TypeError(f"unexpected term {term!r}")
-    left, right = _ring_term(term.left), _ring_term(term.right)
-    return lambda ring: _operation(getattr(ring, name), left(ring), right(ring))
+    return f"{name}({_term_source(term.left, scope)}, {_term_source(term.right, scope)})"
 
 
-def _operation(op, left, right):
-    return lambda env: op(left(env), right(env))
+def _ring_source(node: Formula, scope: dict, depth: int) -> str:
+    """node as a Python expression.  scope maps each quantified name in
+    scope to q<k>, k being the number of quantifiers around the one that
+    binds it (depth counts those around node), so that a name an inner
+    quantifier rebinds gets a q<k> of its own."""
+    kind = type(node)
+    if kind is REq:
+        return f"{_term_source(node.left, scope)} == {_term_source(node.right, scope)}"
+    if kind is Not:
+        return f"not {_ring_source(node.body, scope, depth)}"
+    if kind in _CONNECTIVES:
+        left, right = _ring_source(node.left, scope, depth), _ring_source(node.right, scope, depth)
+        return _CONNECTIVES[kind].format(left, right)
+    if kind is not Exists and kind is not Forall:
+        raise TypeError(f"unexpected node {node!r}")
+    var = f"q{depth}"
+    body = _ring_source(node.body, {**scope, node.var: var}, depth + 1)
+    return f"{'any' if kind is Exists else 'all'}({body} for {var} in E)"
 
 
-def _equal(left, right):
-    return lambda env: left(env) == right(env)
-
-
-def _ring_atom(node: REq):
-    left, right = _ring_term(node.left), _ring_term(node.right)
-    return lambda ring: _equal(left(ring), right(ring))
-
-
-def _stalk_domain(ring: FiniteRing):
-    elements = ring.elements()
-    return lambda env: elements
-
-
-@dataclass(frozen=True, slots=True)
-class _CompiledTheta:
-    """A ring formula checked against the depth cap and compiled: its free
-    w-indices, and bind(stalk), its truth in that stalk as a predicate on env."""
-
-    free: frozenset[int]
-    bind: Callable[[FiniteRing], Callable[[dict], bool]]
-
-
-def _compile_theta(theta: Formula) -> _CompiledTheta:
+def _compile_theta(theta: Formula, free: list[int]) -> Callable[..., bool]:
+    """theta, checked against the depth cap, compiled once into a function
+    of a stalk's add, sub, mul, zero, one and elements(), followed by the
+    codes at the free w-indices in the order of free.  Only names made here
+    reach compile(), and the function sees no builtins but any and all."""
     if quantifier_depth(theta) > MAX_QUANTIFIER_DEPTH:
         raise EvalCapError(f"quantifier depth exceeds {MAX_QUANTIFIER_DEPTH}")
-    return _CompiledTheta(ring_free_vars(theta), _compile(theta, _ring_atom, _stalk_domain))
+    params = ", ".join(["add", "sub", "mul", "zero", "one", "E", *(f"w{j}" for j in free)])
+    code = compile(f"lambda {params}: {_ring_source(theta, {}, 0)}", "<theta>", "eval")
+    return eval(code, {"__builtins__": {}, "any": any, "all": all})
 
 
-def eval_ring_formula(theta, stalk: FiniteRing, assignment) -> bool:
+def _stalk_arguments(stalk: FiniteRing) -> tuple:
+    return stalk.add, stalk.sub, stalk.mul, stalk.zero, stalk.one, stalk.elements()
+
+
+def eval_ring_formula(theta: Formula, stalk: FiniteRing, assignment) -> bool:
     """First-order satisfaction of theta in one finite stalk.
 
-    theta is a ring formula, or one that theta_set compiled once for all
-    its stalks.  assignment maps free w-indices to element codes (a sequence
-    or a dict); quantifiers range over every stalk element.
+    assignment maps free w-indices to element codes (a sequence or a dict);
+    quantifiers range over every stalk element.
     """
     if stalk.order > MAX_STALK_ORDER:
         raise EvalCapError(f"stalk order {stalk.order} exceeds {MAX_STALK_ORDER}")
-    compiled = theta if isinstance(theta, _CompiledTheta) else _compile_theta(theta)
-    env = _environment(compiled.free, assignment, "free variable w")
-    for code in env.values():
+    free = sorted(ring_free_vars(theta))
+    holds = _compile_theta(theta, free)
+    codes = _environment(free, assignment, "free variable w").values()
+    for code in codes:
         if not 0 <= code < stalk.order:
             raise ValueError(f"element code {code} is not in the stalk")
-    return compiled.bind(stalk)(env)
+    return holds(*_stalk_arguments(stalk), *codes)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +195,17 @@ def theta_set(theta: Formula, family: FiniteFamily, elements) -> frozenset[str]:
     w-index j of theta, and f_j maps every index label to an element code of
     that stalk.  Only the free indices are read.
     """
-    env = _environment(ring_free_vars(theta), elements, "free variable w")
-    compiled = _compile_theta(theta)
+    free = sorted(ring_free_vars(theta))
+    global_elements = _environment(free, elements, "free variable w").values()
+    holds = _compile_theta(theta, free)
     hits = []
     for i in family.index_set:
         stalk = family.stalks[i]
-        local = {j: f[i] for j, f in env.items()}
-        for code in local.values():
+        codes = [f[i] for f in global_elements]
+        for code in codes:
             if not 0 <= code < stalk.order:
                 raise ValueError(f"element code {code} is not in stalk {i!r}")
-        if eval_ring_formula(compiled, stalk, local):
+        if holds(*_stalk_arguments(stalk), *codes):
             hits.append(i)
     return frozenset(hits)
 
@@ -275,28 +221,6 @@ def _cell_representatives(ordered: tuple[str, ...], env: dict):
     prefixes = [[cell[:k] for k in range(len(cell) + 1)] for cell in cells.values()]
     for parts in product(*prefixes):
         yield frozenset(chain.from_iterable(parts))
-
-
-def _subset_domain(universe: frozenset):
-    ordered = tuple(sorted(universe))
-    return lambda env: _cell_representatives(ordered, env)
-
-
-def _boole_atom(node: Formula):
-    """A Boolean atom as a function of the index set that returns its truth on env."""
-    kind = type(node)
-    if kind is BSub:
-        left, right = itemgetter(node.left.index), itemgetter(node.right.index)
-        return lambda universe: lambda env: left(env) <= right(env)
-    if kind is BEq:
-        return lambda universe: _equal(itemgetter(node.left.index), itemgetter(node.right.index))
-    if kind is BConst:
-        get, top = itemgetter(node.var.index), node.value == 1
-        return lambda universe: _equal(get, _constant(universe if top else frozenset()))
-    if kind is BFin:
-        # The ideal of finite subsets of a finite index set is everything.
-        return lambda universe: _constant(True)
-    raise TypeError(f"unexpected node {node!r}")
 
 
 def eval_boole(psi: Formula, index_set, assignment) -> bool:
@@ -315,7 +239,43 @@ def eval_boole(psi: Formula, index_set, assignment) -> bool:
         env[idx] = value = frozenset(value)
         if not value <= universe:
             raise ValueError(f"assignment for v{idx} is not a subset of the index set")
-    return _compile(psi, _boole_atom, _subset_domain)(universe)(env)
+    ordered = tuple(sorted(universe))
+
+    def holds(node: Formula) -> bool:
+        """The truth of node under env, which maps free v-indices and the
+        keys of the quantifiers around node to subsets."""
+        kind = type(node)
+        if kind is Not:
+            return not holds(node.body)
+        if kind is And:
+            return holds(node.left) and holds(node.right)
+        if kind is Or:
+            return holds(node.left) or holds(node.right)
+        if kind is Implies:
+            return not holds(node.left) or holds(node.right)
+        if kind is Exists or kind is Forall:
+            key, want = _var_key(node.var), kind is Exists
+            outer = env.get(key)  # a shadowed binding, or None for a fresh name
+            try:
+                for value in _cell_representatives(ordered, env):
+                    env[key] = value
+                    if holds(node.body) is want:
+                        return want
+                return not want
+            finally:
+                env[key] = outer
+        if kind is BSub:
+            return env[node.left.index] <= env[node.right.index]
+        if kind is BEq:
+            return env[node.left.index] == env[node.right.index]
+        if kind is BConst:
+            return env[node.var.index] == (universe if node.value == 1 else frozenset())
+        if kind is BFin:
+            # The ideal of finite subsets of a finite index set is everything.
+            return True
+        raise TypeError(f"unexpected node {node!r}")
+
+    return holds(psi)
 
 
 def gen_product_eval(sentence: GeneralizedSentence, family: FiniteFamily, elements=()) -> bool:

@@ -88,6 +88,29 @@ def test_ring_op_counter_sees_every_op_of_the_search():
     assert counter.count == RING_OPS_OF_THE_ORDER_121_SEARCH
 
 
+# Ring element ops that the first cycle of fv-eval at seed 1 makes, family
+# construction included.  Only a change of which atoms a formula evaluates,
+# or in what order it stops, moves this count; calls that bypass the class
+# methods, which RingOpCounter wraps, lower it.
+RING_OPS_OF_THE_FIRST_FV_CYCLE = 11_417
+
+
+def test_ring_op_counter_sees_every_op_of_fv_evaluation(monkeypatch, tmp_path):
+    from adelic.cli import main
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    ops = load_bench("workloads").cycle("fv-eval", 1, 0, str(tmp_path))
+    counter = load_bench("tracing").RingOpCounter()
+    counter.install()
+    try:
+        for op in ops:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(op.argv) == 0
+    finally:
+        counter.uninstall()
+    assert counter.count == RING_OPS_OF_THE_FIRST_FV_CYCLE
+
+
 def test_every_workload_stalk_loads():
     """fv-eval's family files draw their stalks from the workload's
     _random_stalk: each must pass the loader's caps with the order the

@@ -1,8 +1,10 @@
 """Tests for formula parsing and generalized-product evaluation."""
 
 import random
+import re
 import sys
 import time
+import types
 from collections import Counter
 
 import pytest
@@ -30,7 +32,7 @@ from adelic.fv import (
     stalk_from_spec,
     theta_set,
 )
-from adelic.fv.evaluate import _cell_representatives
+from adelic.fv.evaluate import MAX_QUANTIFIER_DEPTH, _cell_representatives, _compile_theta
 from adelic.fv.formulas import (
     MAX_FORMULA_TOKENS,
     And,
@@ -159,16 +161,21 @@ def _at_stack_depth(depth: int, fn):
 
 def test_formulas_at_the_length_cap_stay_within_the_recursion_limit():
     """The deepest nestings and longest chains the cap admits parse, print
-    and evaluate with 200 frames already on the stack, and unclosed
+    and evaluate with 200 frames already on the stack (a ring formula both
+    alone and through theta_set, which compile it), and unclosed
     parentheses up to the cap are syntax errors; one token more is refused."""
     cap = MAX_FORMULA_TOKENS
     half = (cap - 3) // 2
     third = (cap - 3) // 3
+    quantifiers = "forall y exists z forall y1 exists z1 "  # MAX_QUANTIFIER_DEPTH of them
     ring = {
         "(" * half + "w0 = w0" + ")" * half: True,
         "(" * half + "w0" + ")" * half + " = w0": True,
         "w0 + " * half + "w0 = 0": (half + 1) % 2 == 0,
         "not (" * third + "w0 = w0" + ")" * third: third % 2 == 0,
+        "not " * (cap - 3) + "w0 = w0": (cap - 3) % 2 == 0,
+        # an odd number of nots: some z1 makes y*z differ from y1 + z1*w0
+        quantifiers + "not " * (cap - 17) + "y * z = y1 + z1 * w0": True,
     }
     boole = {
         "not " * (cap - 3) + "v0 = 1": (cap - 3) % 2 == 0,
@@ -182,13 +189,17 @@ def test_formulas_at_the_length_cap_stay_within_the_recursion_limit():
     def walk(parse, text):
         tree = parse(text)
         assert formula_to_text(tree)
-        assert quantifier_depth(tree) in (0, half)
+        assert quantifier_depth(tree) in (0, half, MAX_QUANTIFIER_DEPTH)
         return tree
 
+    family = FiniteFamily(index, dict.fromkeys(index, ZmodRing(2)))
     for text, value in ring.items():
         tree = _at_stack_depth(200, lambda: walk(parse_ring_formula, text))
         assert ring_free_vars(tree) == frozenset({0})
         assert _at_stack_depth(200, lambda: eval_ring_formula(tree, ZmodRing(2), {0: 1})) is value
+        ones = dict.fromkeys(index, 1)
+        hits = _at_stack_depth(200, lambda: theta_set(tree, family, (ones,)))
+        assert hits == (frozenset(index) if value else frozenset())
     for text, value in boole.items():
         tree = _at_stack_depth(200, lambda: walk(parse_boole_formula, text))
         assert boole_arity(tree) == 1
@@ -581,6 +592,50 @@ def test_compiled_ring_formulas_match_the_tree_walk():
     # free and bound variables, both constants, every operation, shadowing
     for feature in (RVar, RBound, RConst, RAdd, RSub, RMul, Exists, Forall, "shadow"):
         assert features[feature] >= 10, (feature, features[feature])
+
+
+def code_names(code) -> set[str]:
+    """Every name that a code object, or a code object among its constants
+    (a generator expression's), binds or reads."""
+    names = {*code.co_names, *code.co_varnames, *code.co_freevars, *code.co_cellvars}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+# The quantified names of random_ring_formula renamed to others the parser
+# takes, and w1 to a free variable with a 12-digit index.
+EMITTER_RENAMES = {"y1": "y12", "z2": "z007", "w1": "w123456789012"}
+
+
+def test_compiled_ring_formulas_use_only_the_names_the_emitter_makes():
+    """No text of a formula reaches compile(): the compiled code names only
+    its fixed parameters, q<k> for the quantifier k levels down, w<j> for
+    each free index j and the implicit argument .0 of a generator
+    expression, and it sees no builtins but any and all."""
+    rng = random.Random(3131)
+    fixed = {"add", "sub", "mul", "zero", "one", "E", "any", "all", ".0"}
+    features = Counter()
+    for trial in range(300):
+        text = shadowing_ring_formula(rng) if trial % 2 else random_ring_formula(rng, 2, 3)
+        text = re.sub(r"\b(y1|z2|w1)\b", lambda m: EMITTER_RENAMES[m[0]], text)
+        theta = parse_ring_formula(text)
+        free = sorted(ring_free_vars(theta))
+        holds = _compile_theta(theta, free)
+        depth = quantifier_depth(theta)
+        vocabulary = fixed | {f"q{k}" for k in range(depth)} | {f"w{j}" for j in free}
+        assert code_names(holds.__code__) <= vocabulary, text
+        assert holds.__globals__ == {"__builtins__": {}, "any": any, "all": all}
+        ring = ZmodRing(3 if depth == 3 else 6)
+        codes = [rng.randrange(ring.order) for _ in free]
+        expected = tree_walk_ring_formula(theta, ring, dict(zip(free, codes)))
+        args = (ring.add, ring.sub, ring.mul, ring.zero, ring.one, ring.elements())
+        assert holds(*args, *codes) is expected, text
+        features.update(name for name in EMITTER_RENAMES.values() if name in text)
+        features.update(ring_formula_features(theta) & {"shadow"})
+    for feature in ("y12", "z007", "w123456789012", "shadow"):
+        assert features[feature] >= 20, (feature, features[feature])
 
 
 # ---------------------------------------------------------------------------
