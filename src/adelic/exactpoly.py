@@ -689,10 +689,37 @@ def _is_squarefree_modp(a: list[int], p: int) -> bool:
     return len(_gcd_modp(a, _deriv(a, p), p)) == 1
 
 
+def _x_power(k: _Packed, exp: int) -> int:
+    """x^exp mod f, packed, for exp >= 0 and k = _Packed(f, m) with deg f = n >= 2.
+
+    The leading bits of exp whose value t is below n give the monomial x^t
+    with no product; each later bit squares by k.mul and, when set, steps by
+    x: the element moves up one slot, and its one overflowing slot, that of
+    x^n, folds back through the table row of x^n mod f.  So at most
+    exp.bit_length() - 1 products are made.
+    """
+    n, w, m, mask, shifts = k.n, k.w, k.m, k.mask, k.shifts
+    top, xn = k.table[0]  # (bit offset of slot n, packed x^n mod f)
+    j = max(exp.bit_length() - n.bit_length(), 0)
+    j += exp >> j >= n  # exp >> j is the longest head of exp below n
+    a = 1 << (exp >> j) * w
+    for i in range(j - 1, -1, -1):
+        a = k.mul(a, a)
+        if exp >> i & 1:
+            a <<= w
+            c = a >> top
+            if c:  # each slot of a + c * xn is below m + (m-1)^2, within its w bits
+                acc = (a ^ c << top) + c * xn
+                a = 0
+                for s in shifts:
+                    a |= (acc >> s & mask) % m << s
+    return a
+
+
 def _frobenius_rows(k: _Packed) -> list[int]:
     """Packed rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p on
     F_p[x]/(f), with k the kernel for (f, p)."""
-    xp = k.pow(k.pack([0, 1]), k.m) if k.n > 1 else 0
+    xp = _x_power(k, k.m) if k.n > 1 else 0
     rows = [k.pack([1])]
     for _ in range(k.n - 1):
         rows.append(k.mul(rows[-1], xp))

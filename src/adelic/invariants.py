@@ -30,6 +30,7 @@ from .splitting import (
     NumberField,
     SplittingType,
     decompose,
+    splitting_sweep,
     splitting_type,
 )
 
@@ -92,12 +93,11 @@ def spectrum(K: NumberField, B: int) -> SplittingSpectrum:
         raise ValueError("bound must be at least 2")
     entries: dict[SplittingType, list[int]] = {}
     excluded: list[int] = []
-    for p in primes_up_to(B):
-        dec = decompose(K, p)
-        if dec.is_resolved:
-            entries.setdefault(splitting_type(dec), []).append(p)
-        else:
+    for p, t in splitting_sweep(K, B):
+        if t is None:
             excluded.append(p)
+        else:
+            entries.setdefault(t, []).append(p)
     return SplittingSpectrum(
         field=K,
         bound=B,
@@ -130,12 +130,9 @@ def degree_via_split_prime(K: NumberField, B: int) -> tuple[int, int] | None:
     """
     if B < 2:
         raise ValueError("bound must be at least 2")
-    for p in primes_up_to(B):
-        if K.poly_disc % p == 0:
-            continue
-        dec = decompose(K, p)
-        if dec.is_resolved and all(e == 1 and f == 1 for e, f in dec.factors):
-            return len(dec.factors), p
+    for p, t in splitting_sweep(K, B, K.poly_disc):
+        if t.degrees[-1] == 1:  # a good prime is unramified, and degrees ascend
+            return len(t.degrees), p
     return None
 
 
@@ -285,14 +282,10 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
     if B < 2:
         raise ValueError("bound must be at least 2")
     degree_check = K.degree == L.degree
-    excluded = []
+    bad = K.poly_disc * L.poly_disc  # a prime divides it iff it is bad for K or for L
+    primes = primes_up_to(B)
     compared = 0
-    for p in primes_up_to(B):
-        if K.poly_disc % p == 0 or L.poly_disc % p == 0:
-            excluded.append(p)
-            continue
-        tk = splitting_type(decompose(K, p))
-        tl = splitting_type(decompose(L, p))
+    for (p, tk), (_, tl) in zip(splitting_sweep(K, B, bad), splitting_sweep(L, B, bad)):
         if tk != tl:
             return ArithEquivVerdict(
                 NOT_EQUIVALENT,
@@ -301,7 +294,7 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
                 witness_prime=p,
                 type_k=tk,
                 type_l=tl,
-                excluded_primes=tuple(excluded),
+                excluded_primes=tuple(q for q in primes[: primes.index(p)] if bad % q == 0),
             )
         compared += 1
     return ArithEquivVerdict(
@@ -309,7 +302,7 @@ def arithmetic_equiv(K: NumberField, L: NumberField, B: int = DEFAULT_PRIME_BOUN
         bound=B,
         degree_check=degree_check,
         compared_count=compared,
-        excluded_primes=tuple(excluded),
+        excluded_primes=tuple(q for q in primes if bad % q == 0),
     )
 
 

@@ -20,8 +20,10 @@ sweeps are safe.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .exactpoly import (
     IntPoly,
@@ -42,7 +44,7 @@ from .exactpoly import (
     _squarefree_parts,
     _trim,
 )
-from .primes import is_prime, valuation
+from .primes import is_prime, primes_up_to, valuation
 
 __all__ = [
     "NumberField",
@@ -63,6 +65,7 @@ __all__ = [
     "ore_local_decompose",
     "decompose",
     "splitting_type",
+    "splitting_sweep",
     "clear_decomposition_cache",
 ]
 
@@ -208,14 +211,19 @@ class PrimeDecomposition:
 
 
 def _resolved(prime: int, pairs: list[tuple[int, int]], method: str, degree: int) -> PrimeDecomposition:
-    pairs = sorted(pairs, key=lambda ef: (ef[1], ef[0]))
-    total = sum(e * f for e, f in pairs)
+    """The Resolved decomposition of the pairs, sorted by (f, e), after one
+    pass that checks that each e and f lies in 1 .. degree and that the e*f
+    sum to the degree."""
+    pairs = sorted(pairs, key=itemgetter(1, 0))
+    total = 0
+    for e, f in pairs:
+        if not (0 < e <= degree and 0 < f <= degree):
+            raise AssertionError(f"internal error: e,f out of range at p={prime}")
+        total += e * f
     if total != degree:
         raise AssertionError(
             f"internal error: sum of e*f is {total}, expected {degree} at p={prime}"
         )
-    if any(e < 1 or f < 1 or e > degree or f > degree for e, f in pairs):
-        raise AssertionError(f"internal error: e,f out of range at p={prime}")
     return PrimeDecomposition(prime, RESOLVED, tuple(pairs), method)
 
 
@@ -500,9 +508,36 @@ def decompose(K: NumberField, p: int) -> PrimeDecomposition:
     Good primes and discriminant divisors that Dedekind's criterion clears
     are labelled Kummer; index divisors NewtonPolygon.  Unresolvable cases
     come back as Undetermined with a reason, never as a wrong Resolved value.
-    The primality of p is checked here, and only here: the other public
-    routes of this module call this one.
+    The primality of p is checked here for a single prime, and the other
+    public routes of this module for one prime call this one; a sweep,
+    splitting_sweep, takes its primes from the sieve, which proves them prime.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _decompose(K, p)
+
+
+def splitting_sweep(
+    K: NumberField, B: int, coprime_to: int = 1
+) -> Iterator[tuple[int, SplittingType | None]]:
+    """Yield (p, splitting type of p in K) for the primes p <= B, ascending,
+    that do not divide coprime_to; the type is None where the decomposition
+    is Undetermined.
+
+    The primes come from the sieve (primes_up_to), which proves them prime,
+    so no primality test runs per prime.  Each distinct type is built once
+    per sweep, and the same object is yielded for every prime of that type.
+    """
+    types: dict[tuple[int, ...], SplittingType] = {}
+    for p in primes_up_to(B):
+        if coprime_to % p == 0:
+            continue
+        dec = _decompose(K, p)
+        if not dec.is_resolved:
+            yield p, None
+            continue
+        degrees = tuple(f for _, f in dec.factors)  # nondecreasing: sorted by (f, e)
+        t = types.get(degrees)
+        if t is None:
+            t = types[degrees] = SplittingType(degrees)
+        yield p, t

@@ -111,6 +111,37 @@ def test_ring_op_counter_sees_every_op_of_fv_evaluation(monkeypatch, tmp_path):
     assert counter.count == RING_OPS_OF_THE_FIRST_FV_CYCLE
 
 
+# Packed kernel products (_Packed.mul calls) that the first cycle of spectrum
+# at seed 1 makes.  They are the squares of each good prime's x^p (the steps
+# by x are shifts, not products), the rows x^(ip) of its Frobenius matrix,
+# and the equal-degree splitting and distinct-degree stages of the bad and
+# small primes.  A kernel change that adds products, or that moves a prime to
+# another route, moves this count; one that calls the kernel's product
+# without the class method lowers it.
+PACKED_PRODUCTS_OF_THE_FIRST_SPECTRUM_CYCLE = 4_638
+
+
+def test_packed_products_of_the_first_spectrum_cycle(monkeypatch, tmp_path):
+    from adelic.cli import main
+    from adelic.exactpoly import _Packed
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    ops = load_bench("workloads").cycle("spectrum", 1, 0, str(tmp_path))
+    count = 0
+    mul = _Packed.mul
+
+    def counted(self, a, b):
+        nonlocal count
+        count += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_Packed, "mul", counted)
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(op.argv) == 0
+    assert count == PACKED_PRODUCTS_OF_THE_FIRST_SPECTRUM_CYCLE
+
+
 def test_every_workload_stalk_loads():
     """fv-eval's family files draw their stalks from the workload's
     _random_stalk: each must pass the loader's caps with the order the

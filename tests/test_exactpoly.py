@@ -1055,3 +1055,36 @@ def test_primes_up_to_cache_is_bounded():
         primes_up_to(n)
     info = primes_up_to.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_x_power_matches_the_packed_power_within_its_product_bound(monkeypatch):
+    """_x_power(k, e) is x^e by _Packed.pow, and makes at most
+    e.bit_length() products, one fewer for e >= 1, since the leading bit is
+    the monomial x: the x^p of _frobenius_rows has a bounded loop.
+    A kernel of degree 1 holds no x (F_p[x]/(x - r) is F_p, x the constant
+    r), so there _frobenius_rows takes no power and makes no product."""
+    from adelic.exactpoly import _frobenius_rows, _Packed, _x_power
+
+    calls = []
+    mul = _Packed.mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_Packed, "mul", counted)
+    rng = random.Random(32)
+    for p in (2, 3, 5, 13, 401, 10007, 1000003, 10**18 + 3):
+        for n in range(1, 13):
+            v = [rng.randrange(p) for _ in range(n)] + [1]
+            k = _Packed(v, p)
+            if n == 1:
+                calls.clear()
+                assert _frobenius_rows(k) == [1] and not calls, p
+                continue
+            x = k.pack([0, 1])
+            for e in (0, 1, n - 1, n, 2 * n - 2, p, *(rng.randrange(2**64) for _ in range(4))):
+                want = k.pow(x, e)
+                calls.clear()
+                assert _x_power(k, e) == want, (p, v, e)
+                assert len(calls) <= max(e.bit_length() - 1, 0), (p, v, e, len(calls))

@@ -918,3 +918,39 @@ def test_splitting_types_against_sympy_factorization():
                 d for g, m in fl for d in [sympy.Poly(g, x).degree()] * m
             )
             assert list(splitting_type(decompose(K, p)).degrees) == degrees, (K.name(), p)
+
+
+def _eisenstein_fields(count: int, seed: int):
+    """Fields of degree 2 to 8 from polynomials Eisenstein at a small prime q,
+    so irreducible: every lower coefficient a multiple of q, the constant
+    term not of q^2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, q = rng.randint(2, 8), rng.choice((2, 3, 5, 7))
+        const = q * rng.choice([u for u in range(1, 2 * q) if u % q])
+        yield NumberField(IntPoly([const] + [q * rng.randint(-4, 4) for _ in range(n - 1)] + [1]))
+
+
+def test_sweep_yields_the_splitting_type_of_every_prime():
+    """splitting_sweep against decompose prime by prime: the type of each
+    prime, None exactly where the decomposition is Undetermined, one object
+    per distinct type, and coprime_to skips exactly the primes dividing it."""
+    fields = list(corpus_fields()) + list(_eisenstein_fields(40, 32))
+    undetermined = 0
+    for K in fields:
+        swept = list(splitting.splitting_sweep(K, 400))
+        assert [p for p, _ in swept] == list(primes_up_to(400)), K.name()
+        seen = {}
+        for p, t in swept:
+            dec = decompose(K, p)
+            if not dec.is_resolved:
+                assert t is None, (K.name(), p)
+                undetermined += 1
+                continue
+            assert t == splitting_type(dec), (K.name(), p)
+            assert seen.setdefault(t.degrees, t) is t, (K.name(), p)
+        good = list(splitting.splitting_sweep(K, 400, K.poly_disc))
+        assert [p for p, _ in good] == [p for p in primes_up_to(400) if K.poly_disc % p], K.name()
+        types = dict(swept)
+        assert all(t == types[p] for p, t in good), K.name()
+    assert undetermined  # the corpus's undetermined-at-2 field takes the None branch
