@@ -428,8 +428,6 @@ class _Parser:
 
     def parse_boole_atom(self) -> Formula:
         tok = self.peek()
-        if tok is None:
-            raise self._error("unexpected end of input")
         if tok.kind == "kw" and tok.text == "Fin":
             self.take()
             self.take("(")

@@ -534,7 +534,8 @@ def adele_iso_verdict(
             if not dec.is_resolved:
                 reason = f"{side} at p={p}: {dec.reason}"
                 return verdict(UNDETERMINED_VERDICT, reason=reason, witness=p)
-        if sorted(dk.factors) != sorted(dl.factors):
+        # _resolved sorts both factor tuples by (f, e).
+        if dk.factors != dl.factors:
             reason = f"local (e, f) multisets differ at p={p}"
             return verdict(NOT_ISOMORPHIC, reason=reason, witness=p)
         for e, f in dk.factors:
@@ -587,12 +588,10 @@ def _local_pair(
     ek, el = _eisenstein_shift(K, p), _eisenstein_shift(L, p)
     if ek is None or el is None:
         return UnmatchedLocalDatum(p, e, f, "no Eisenstein presentation found for a shift")
-    # Both are monic Eisenstein of degree e, so both rings get built.
     s = keating_bound(p, e)
-    rk = residue_ring_construct(p, e, 1, ek, s)
-    rl = residue_ring_construct(p, e, 1, el, s)
+    rings = [LocalQuotientRing(p, e, 1, E, s) for E in (ek, el)]
     try:
-        iso = find_ring_isomorphism(rk.ring, rl.ring)
+        iso = find_ring_isomorphism(*rings)
     except RingCapExceededError:
         return UnmatchedLocalDatum(p, e, f, "residue-ring order exceeds the cap")
     if iso is None:

@@ -653,3 +653,28 @@ def test_fuzz_fv_eval_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert {0, 2, 4} <= set(codes)
     assert time.perf_counter() - start < 60
+
+
+def test_corpus_decomposes_each_field_at_each_prime_once(monkeypatch, capsys):
+    # One pass over the primes <= 200 serves both the e*f sums and the
+    # ramification check at good primes <= 100: 26 fields x 46 primes, plus
+    # the reflexive adele verdict's two decompositions at p = 2.  The corpus
+    # made 1,814 calls when it swept the good primes <= 100 a second time.
+    import adelic.invariants as invariants
+    import adelic.splitting as splitting
+
+    from adelic.cli import run_corpus_checks
+
+    calls = []
+    decompose = splitting.decompose
+
+    def counting_decompose(K, p):
+        calls.append((K.min_poly, p))
+        return decompose(K, p)
+
+    monkeypatch.setattr(splitting, "decompose", counting_decompose)
+    monkeypatch.setattr(invariants, "decompose", counting_decompose)
+    lines, ok = run_corpus_checks()
+    assert ok and lines[-1] == "all checks passed"
+    assert len(calls) == 1198
+    assert len(set(calls)) == 1196

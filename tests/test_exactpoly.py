@@ -1088,3 +1088,91 @@ def test_x_power_matches_the_packed_power_within_its_product_bound(monkeypatch):
                 calls.clear()
                 assert _x_power(k, e) == want, (p, v, e)
                 assert len(calls) <= max(e.bit_length() - 1, 0), (p, v, e, len(calls))
+
+
+# ---------------------------------------------------------------------------
+# ModPoly's public operators against IntPoly arithmetic reduced mod m.
+
+
+def _random_intpoly(rng: random.Random, max_degree: int) -> IntPoly:
+    return IntPoly([rng.randint(-60, 60) for _ in range(rng.randint(0, max_degree + 1))])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 9, 101])
+def test_modpoly_ring_operators_match_intpoly_mod_m(m):
+    rng = random.Random(m)
+    for _ in range(80):
+        a, b = _random_intpoly(rng, 6), _random_intpoly(rng, 6)
+        am, bm = a.reduce_mod(m), b.reduce_mod(m)
+        assert am - bm == (a - b).reduce_mod(m)
+        assert -am == (-a).reduce_mod(m)
+        assert am + bm == (a + b).reduce_mod(m)
+        assert am * bm == (a * b).reduce_mod(m)
+        assert am - am == ModPoly(m, ())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_modpoly_floordiv_mod_reassemble_at_prime_moduli(p):
+    rng = random.Random(p)
+    for _ in range(80):
+        a = _random_intpoly(rng, 8).reduce_mod(p)
+        b = _random_intpoly(rng, 4).reduce_mod(p)
+        if b.is_zero:
+            continue
+        q, r = a // b, a % b
+        assert (q, r) == divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero or r.degree < b.degree
+
+
+def test_modpoly_floordiv_mod_by_monic_at_composite_modulus():
+    a, b = ModPoly(9, (4, 7, 0, 5, 1)), ModPoly(9, (2, 3, 1))
+    q, r = a // b, a % b
+    assert q * b + r == a and r.degree < b.degree
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_modpoly_monic_of_non_monic(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        a = _random_intpoly(rng, 5).reduce_mod(p)
+        if a.is_zero or a.is_monic:
+            assert a.monic() is a
+            continue
+        monic = a.monic()
+        assert monic.is_monic and monic.degree == a.degree
+        assert monic * ModPoly(p, (a.coeffs[-1],)) == a
+
+
+def test_modpoly_monic_of_non_monic_needs_a_prime_modulus():
+    with pytest.raises(CompositeModulusError, match="prime modulus required, got 9"):
+        ModPoly(9, (1, 3)).monic()
+
+
+@pytest.mark.parametrize(
+    "poly, text, rep",
+    [
+        (ModPoly(7, (3, 0, 5)), "5*x^2 + 3 (mod 7)", "ModPoly(7, '5*x^2 + 3')"),
+        (ModPoly(9, (1, -1, 2)), "2*x^2 + 8*x + 1 (mod 9)", "ModPoly(9, '2*x^2 + 8*x + 1')"),
+        (ModPoly(5, (0, 1)), "x (mod 5)", "ModPoly(5, 'x')"),
+        (ModPoly(7, ()), "0 (mod 7)", "ModPoly(7, '0')"),
+    ],
+)
+def test_modpoly_to_text_and_repr(poly, text, rep):
+    assert poly.to_text() == text
+    assert repr(poly) == rep
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a // b,
+        lambda a, b: a % b,
+    ],
+    ids=["sub", "mul", "floordiv", "mod"],
+)
+def test_modpoly_operators_refuse_mixed_moduli(op):
+    with pytest.raises(ValueError, match="modulus mismatch: 3 vs 5"):
+        op(ModPoly(3, (1, 1)), ModPoly(5, (1, 1)))

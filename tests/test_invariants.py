@@ -512,3 +512,32 @@ def test_verdict_json_shapes():
     d2 = v2.to_json_dict()
     assert set(d2) >= {"kind", "witness", "matching", "excluded_primes", "bound"}
     assert d2["kind"] == "IsomorphicCertified"
+
+
+def test_adele_verdict_builds_its_rings_without_a_residue_ring_record(monkeypatch):
+    # _local_pair builds each ring with LocalQuotientRing, whose constructor
+    # checks the Eisenstein polynomial; residue_ring_construct is for library
+    # callers only
+    import adelic.invariants as invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("residue_ring_construct is not on the verdict path")
+
+    monkeypatch.setattr(invariants, "residue_ring_construct", refuse)
+    K = corpus_field("Q(sqrt2)")
+    L = NumberField(P("x^2 + 4*x + 2"), "shifted")
+    v = adele_iso_verdict(K, L, 30)
+    assert v.kind == "IsomorphicCertified"
+    assert [(m.prime, m.certificate, m.truncation) for m in v.matching] == [
+        (2, "eisenstein-residue-ring", keating_bound(2, 2))
+    ]
+
+
+def test_resolved_factors_come_sorted_by_f_then_e():
+    # adele_iso_verdict compares the factor tuples of two fields as given,
+    # which is a multiset comparison only because decompose sorts them
+    for K in corpus_fields():
+        for p in primes_up_to(60):
+            dec = decompose(K, p)
+            if dec.is_resolved:
+                assert list(dec.factors) == sorted(dec.factors, key=lambda ef: (ef[1], ef[0]))
